@@ -31,7 +31,6 @@ from .report import (
     BenchmarkReport,
     Replication,
     SelectionMetrics,
-    kendall_tau,
     kendall_tau_b,
     run_benchmark,
     selection_metrics,
@@ -80,7 +79,6 @@ __all__ = [
     "first_fast",
     "generate_binary",
     "generate_regression",
-    "kendall_tau",
     "kendall_tau_b",
     "load_csv",
     "nanne",

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .dataset import DataError, encode, load_csv
+from .dataset import encode, load_csv
 from .estimators import EstimatorConfig, nanne
 from .report import run_benchmark
 from .selection import first, first_fast
@@ -175,10 +175,7 @@ def main(argv=None) -> int:
     handlers = {"estimate": cmd_estimate, "select": cmd_select, "benchmark": cmd_benchmark}
     try:
         return handlers[args.command](args)
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

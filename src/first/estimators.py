@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import EncodedMatrix
 from .neighbors import build_index, query_within_batch, worker_count
 
 #: Inner-loop neighbor counts used when none is requested explicitly.
@@ -63,8 +64,17 @@ class EstimatorConfig:
         """
         if self.n_outer == "all":
             return self
-        ss = np.random.SeedSequence(entropy=self.seed & _SEED_MASK, spawn_key=(step,))
-        return replace(self, seed=int(ss.generate_state(1, np.uint64)[0]))
+        return replace(self, seed=derive_seed(self.seed, step))
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """64-bit seed derived from a base seed and an integer key path.
+
+    The base seed is masked to 64 bits, so negative seeds are accepted.
+    Used for selection steps, benchmark replications and oracle factors.
+    """
+    ss = np.random.SeedSequence(entropy=seed & _SEED_MASK, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,26 +135,55 @@ def outer_rows(cfg: EstimatorConfig, n: int) -> np.ndarray:
     return np.sort(picks.astype(np.intp))
 
 
-def _subspace_effect(matrix, y, factors, rows, k: int, workers: int) -> float:
-    """Mean within-kth neighbor variance of y over the given outer rows.
+@dataclass(frozen=True, eq=False)
+class EffectContext:
+    """Validated inputs shared by every effect evaluation of one call.
+
+    ``y`` is the float64 response, ``k`` the resolved inner neighbor count,
+    ``rows`` the outer-loop rows and ``total`` the response variance. A
+    subsampled forward-selection step replaces only ``rows``.
+    """
+
+    matrix: EncodedMatrix
+    y: np.ndarray
+    k: int
+    rows: np.ndarray
+    workers: int
+    total: float
+
+
+def prepare(matrix, y, cfg: EstimatorConfig) -> EffectContext:
+    """Check the inputs, resolve ``k`` and draw the outer rows, once per call."""
+    y = np.asarray(y, dtype=np.float64)
+    n = matrix.n_rows
+    if y.shape != (n,):
+        raise ValueError(f"response must have one value per row ({n}), got shape {y.shape}")
+    k = cfg.resolve_n_inner(y)
+    if n < max(k, 2):
+        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
+    return EffectContext(matrix=matrix, y=y, k=k, rows=outer_rows(cfg, n),
+                         workers=worker_count(), total=total_variance(y))
+
+
+def _subspace_effect(ctx: EffectContext, factors) -> float:
+    """Mean within-kth neighbor variance of y over the context's outer rows.
 
     ``factors`` defines the conditioning subspace. An empty subset is the
     degenerate limit in which every row ties at distance zero, so each
     neighbor set is the whole sample and the effect equals the total
-    variance.
+    variance. A constant response has zero effect in every subspace.
     """
     if not factors:
-        return total_variance(y)
-    if y.min() == y.max():
+        return ctx.total
+    if ctx.total == 0.0:
         return 0.0
-    index = build_index(matrix, factors)
-    ids, tied, exact = query_within_batch(index, rows, k, workers=workers)
-    neigh = y[ids]
+    index = build_index(ctx.matrix, factors)
+    ids, tied, exact = query_within_batch(index, ctx.rows, ctx.k, workers=ctx.workers)
+    neigh = ctx.y[ids]
     mean = neigh.mean(axis=1)
-    variances = ((neigh - mean[:, None]) ** 2).sum(axis=1) / (k - 1)
+    variances = ((neigh - mean[:, None]) ** 2).sum(axis=1) / (ctx.k - 1)
     for pos, members in exact.items():
-        values = y[members]
-        variances[pos] = values.var(ddof=1)
+        variances[pos] = ctx.y[members].var(ddof=1)
     return float(variances.mean())
 
 
@@ -159,13 +198,7 @@ def conditional_variance_effect(matrix, y, conditioning_factors, cfg: EstimatorC
     factors = sorted(set(int(f) for f in conditioning_factors))
     if not factors:
         raise ValueError("conditioning factor set must be non-empty")
-    y = np.asarray(y, dtype=np.float64)
-    k = cfg.resolve_n_inner(y)
-    n = matrix.n_rows
-    if n < max(k, 2):
-        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
-    rows = outer_rows(cfg, n)
-    return _subspace_effect(matrix, y, factors, rows, k, worker_count())
+    return _subspace_effect(prepare(matrix, y, cfg), factors)
 
 
 def explainable_variance(matrix, y, selected_factors, cfg: EstimatorConfig) -> float:
@@ -178,39 +211,28 @@ def explainable_variance(matrix, y, selected_factors, cfg: EstimatorConfig) -> f
     factors = sorted(set(int(f) for f in selected_factors))
     if not factors:
         return 0.0
-    return total_variance(y) - conditional_variance_effect(matrix, y, factors, cfg)
+    ctx = prepare(matrix, y, cfg)
+    return ctx.total - _subspace_effect(ctx, factors)
 
 
-def subset_scores(matrix, y, factors, cfg: EstimatorConfig):
+def subset_scores(ctx: EffectContext, factors):
     """Noise-adjusted total Sobol' indices treating ``factors`` as the full set.
 
-    Returns ``(scores, noise_var, signal_var, total_var, n_inner)`` where
-    ``scores`` maps each factor to its clipped index. Estimating on a factor
-    subset recomputes the noise variance in the restricted subspace, which
-    is what backward elimination relies on.
+    ``factors`` is a non-empty sorted list. Returns ``(scores, noise_var,
+    signal_var)`` where ``scores`` maps each factor to its clipped index.
+    Estimating on a factor subset recomputes the noise variance in the
+    restricted subspace, which is what backward elimination relies on.
     """
-    factors = sorted(set(int(f) for f in factors))
-    if not factors:
-        raise ValueError("factor set must be non-empty")
-    y = np.asarray(y, dtype=np.float64)
-    k = cfg.resolve_n_inner(y)
-    n = matrix.n_rows
-    if n < max(k, 2):
-        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
-    workers = worker_count()
-    rows = outer_rows(cfg, n)
-    total = total_variance(y)
-    noise = _subspace_effect(matrix, y, factors, rows, k, workers)
-    signal = max(total - noise, 0.0)
+    noise = _subspace_effect(ctx, factors)
+    signal = max(ctx.total - noise, 0.0)
     if signal > 0.0:
         scores = {}
         for i in factors:
             rest = [j for j in factors if j != i]
-            effect = _subspace_effect(matrix, y, rest, rows, k, workers)
-            scores[i] = max(effect - noise, 0.0) / signal
+            scores[i] = max(_subspace_effect(ctx, rest) - noise, 0.0) / signal
     else:
         scores = {i: 0.0 for i in factors}
-    return scores, noise, signal, total, k
+    return scores, noise, signal
 
 
 def nanne(matrix, y, cfg: EstimatorConfig | None = None) -> ImportanceResult:
@@ -222,8 +244,9 @@ def nanne(matrix, y, cfg: EstimatorConfig | None = None) -> ImportanceResult:
     variance forces every index to zero.
     """
     cfg = cfg or EstimatorConfig()
+    ctx = prepare(matrix, y, cfg)
     p = matrix.n_factors
-    scores, noise, signal, total, k = subset_scores(matrix, y, range(p), cfg)
+    scores, noise, signal = subset_scores(ctx, list(range(p)))
     s_tot = np.array([scores[i] for i in range(p)])
     if np.any(s_tot > 1.0):
         over = [i for i in range(p) if s_tot[i] > 1.0]
@@ -233,7 +256,7 @@ def nanne(matrix, y, cfg: EstimatorConfig | None = None) -> ImportanceResult:
         s_tot=s_tot,
         noise_var=noise,
         signal_var=signal,
-        total_var=total,
+        total_var=ctx.total,
         selected=s_tot > 0.0,
-        n_inner=k,
+        n_inner=ctx.k,
     )

@@ -67,24 +67,19 @@ def build_index(matrix, factors) -> NeighborIndex:
     return NeighborIndex(factors=factors, columns=tuple(int(c) for c in cols), points=points, tree=tree)
 
 
-def _exact_within_ids(index: NeighborIndex, row: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row ids and squared distances of the within-kth set, unordered.
+def _exact_within_ids(index: NeighborIndex, row: int, k: int) -> np.ndarray:
+    """Row ids of the within-kth set, unordered; requires ``k`` < n.
 
     Membership is decided on squared distances computed directly from the
     projected rows, so results match a brute-force scan bit for bit.
     """
-    n = index.n_rows
     q = index.points[row]
-    if k >= n:
-        d2 = ((index.points - q) ** 2).sum(axis=1)
-        return np.arange(n, dtype=np.intp), d2
     dists = index.tree.query(q, k=k + 1)[0]
     radius = dists[k - 1] * (1.0 + TIE_REL_EPS)
     cand = np.asarray(index.tree.query_ball_point(q, radius), dtype=np.intp)
     d2 = ((index.points[cand] - q) ** 2).sum(axis=1)
     kth = np.partition(d2, k - 1)[k - 1]
-    keep = d2 <= kth
-    return cand[keep], d2[keep]
+    return cand[d2 <= kth]
 
 
 def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
@@ -92,14 +87,18 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
 
     The query row itself is included (distance zero), so the result always
     has at least ``k`` entries and may have more when distances tie at the
-    k-th value. Rows are ordered by distance, then by row id.
+    k-th value. Rows are ordered by exact squared distance, then by row id.
+    This is a one-row call of :func:`query_within_batch`, the path the
+    estimators run.
     """
     n = index.n_rows
     if not 0 <= query_row < n:
         raise ValueError(f"query_row {query_row} out of range 0..{n - 1}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    ids, d2 = _exact_within_ids(index, query_row, k)
+    ids, _, exact = query_within_batch(index, [query_row], k, workers=1)
+    ids = exact.get(0, ids[0])
+    d2 = ((index.points[ids] - index.points[query_row]) ** 2).sum(axis=1)
     order = np.lexsort((ids, d2))
     return [int(i) for i in ids[order]]
 
@@ -127,5 +126,5 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     tied = dists[:, k] <= dk * (1.0 + TIE_REL_EPS)
     exact = {}
     for pos in np.nonzero(tied)[0]:
-        exact[int(pos)] = _exact_within_ids(index, int(rows[pos]), k)[0]
+        exact[int(pos)] = _exact_within_ids(index, int(rows[pos]), k)
     return ids[:, :k], tied, exact

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import encode
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, derive_seed
 from .neighbors import worker_count
 from .selection import first, first_fast
 from .synthetic import (
@@ -24,21 +24,7 @@ from .synthetic import (
     restricted_groundtruth,
 )
 
-_SEED_MASK = (1 << 64) - 1
-
 METHODS = ("first", "first_fast")
-
-
-def kendall_tau(truth, estimate) -> float:
-    """Rank agreement: mean sign concordance over all factor pairs.
-
-    Tied pairs contribute zero to the sum but still count in the pair
-    total, so heavy ties shrink the value toward zero. Use
-    :func:`kendall_tau_b` when both vectors contain structural ties.
-    """
-    t, e = _pair_signs(truth, estimate)
-    p = len(np.asarray(truth))
-    return float((t * e).sum() / (p * (p - 1) / 2))
 
 
 def kendall_tau_b(truth, estimate) -> float:
@@ -187,11 +173,6 @@ class BenchmarkReport:
         )
 
 
-def _rep_seed(seed: int, rep: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed & _SEED_MASK, spawn_key=(rep,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _run_replication(args) -> tuple:
     """Generate one dataset and run selection on it (process-pool entry)."""
     (name, p, rho, n, rep_seed, method, n_inner, n_outer, mode, binary, noise_sd) = args
@@ -235,7 +216,7 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
         truth = restricted_groundtruth(function, p, rho, n_outer=groundtruth_n_outer, seed=seed)
 
     tasks = [
-        (function, p, rho, n, _rep_seed(seed, rep), method,
+        (function, p, rho, n, derive_seed(seed, rep), method,
          n_inner, n_outer, subsample_mode, binary, noise_sd)
         for rep in range(reps)
     ]

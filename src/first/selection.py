@@ -8,18 +8,11 @@ to zero and re-estimates on the survivors, so the reported importance is
 always measured relative to the retained factors only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import (
-    EstimatorConfig,
-    _subspace_effect,
-    outer_rows,
-    subset_scores,
-    total_variance,
-)
-from .neighbors import worker_count
+from .estimators import EstimatorConfig, _subspace_effect, outer_rows, prepare, subset_scores
 
 ADD = "add"
 ELIMINATE = "eliminate"
@@ -65,7 +58,7 @@ class SelectionTrace:
         }
 
 
-def _backward_eliminate(matrix, y, factors, cfg):
+def _backward_eliminate(ctx, factors):
     """Iterate noise-adjusted estimation, dropping zero-index factors.
 
     Returns ``(scores, steps)`` where ``scores`` maps each surviving factor
@@ -87,7 +80,7 @@ def _backward_eliminate(matrix, y, factors, cfg):
         active = survivors
         if not active:
             return {}, steps
-        scores = subset_scores(matrix, y, active, cfg)[0]
+        scores = subset_scores(ctx, active)[0]
         rounds += 1
         assert rounds <= len(factors) + 1, "elimination failed to terminate"
         if min(scores.values()) > 0.0:
@@ -102,41 +95,33 @@ def nanne_be(matrix, y, factors, cfg: EstimatorConfig | None = None) -> np.ndarr
     factors outside ``factors``.
     """
     cfg = cfg or EstimatorConfig()
-    scores, _ = _backward_eliminate(matrix, y, factors, cfg)
+    scores, _ = _backward_eliminate(prepare(matrix, y, cfg), factors)
     out = np.zeros(matrix.n_factors)
     for i, v in scores.items():
         out[i] = v
     return out
 
 
-def _candidate_values(matrix, y, active, candidates, cfg, k, workers):
+def _candidate_values(ctx, active, candidates):
     """Explainable variance of ``active + [i]`` for every candidate i.
 
-    All candidates within one step share the same outer-row subsample so
-    their values are directly comparable.
+    All candidates within one step share the context's outer rows so their
+    values are directly comparable.
     """
-    y = np.asarray(y, dtype=np.float64)
-    total = total_variance(y)
-    rows = outer_rows(cfg, matrix.n_rows)
-    values = {}
-    for i in candidates:
-        values[i] = total - _subspace_effect(matrix, y, sorted(active + [i]), rows, k, workers)
-    return values
+    return {i: ctx.total - _subspace_effect(ctx, sorted(active + [i])) for i in candidates}
 
 
-def _forward_select(matrix, y, cfg, prune: bool):
+def _forward_select(ctx, cfg, prune: bool):
     """Greedy forward selection; with ``prune`` it permanently removes
     candidates whose inclusion strictly decreases the explainable variance.
 
     Ties in the argmax go to the lowest factor index. A candidate is added
     only while it strictly improves on the current explainable variance (in
     the pruning variant, the loop instead runs until the candidate pool is
-    exhausted, which subsumes the same stopping rule).
+    exhausted, which subsumes the same stopping rule). Each step draws its
+    own outer rows from a step-derived seed.
     """
-    p = matrix.n_factors
-    y = np.asarray(y, dtype=np.float64)
-    k = cfg.resolve_n_inner(y)
-    workers = worker_count()
+    p = ctx.matrix.n_factors
     active: list[int] = []
     v_active = 0.0
     pool = list(range(p))
@@ -154,11 +139,12 @@ def _forward_select(matrix, y, cfg, prune: bool):
             v_active = v_chosen
             steps.append(SelectionStep(ADD, chosen, v_active))
             chosen = None
-        if not pool or len(active) >= p:
+        if not pool:
             break
         step_cfg = cfg.with_step_seed(len(step_seeds))
         step_seeds.append(step_cfg.seed)
-        values = _candidate_values(matrix, y, active, pool, step_cfg, k, workers)
+        step_ctx = replace(ctx, rows=outer_rows(step_cfg, ctx.matrix.n_rows))
+        values = _candidate_values(step_ctx, active, pool)
         best = min(pool, key=lambda i: (-values[i], i))
         if prune:
             dropped = [i for i in pool if values[i] < v_active]
@@ -167,18 +153,17 @@ def _forward_select(matrix, y, cfg, prune: bool):
             pool = [i for i in pool if i not in dropped]
             if best not in pool:
                 break
-            chosen, v_chosen = best, values[best]
-        else:
-            if not values[best] > v_active:
-                break
-            chosen, v_chosen = best, values[best]
-    return active, steps, step_seeds, k
+        elif not values[best] > v_active:
+            break
+        chosen, v_chosen = best, values[best]
+    return active, steps, step_seeds
 
 
 def _run_selection(matrix, y, cfg, prune: bool, method: str) -> SelectionTrace:
-    active, steps, step_seeds, k = _forward_select(matrix, y, cfg, prune)
+    ctx = prepare(matrix, y, cfg)
+    active, steps, step_seeds = _forward_select(ctx, cfg, prune)
     if active:
-        scores, be_steps = _backward_eliminate(matrix, y, active, cfg)
+        scores, be_steps = _backward_eliminate(ctx, active)
         steps.extend(be_steps)
     else:
         scores = {}
@@ -187,7 +172,7 @@ def _run_selection(matrix, y, cfg, prune: bool, method: str) -> SelectionTrace:
         importance[i] = v
     meta = {
         "method": method,
-        "n_inner": k,
+        "n_inner": ctx.k,
         "n_outer": cfg.n_outer,
         "seed": cfg.seed,
         "forward_step_seeds": step_seeds if cfg.n_outer != "all" else "all-rows",

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .dataset import CONTINUOUS, Dataset
+from .estimators import derive_seed
 
 # Uniform copula coordinates are clipped to this open interval before the
 # normal quantile transform, keeping conditional draws finite.
@@ -24,8 +25,6 @@ UNIFORM_CLIP = 1e-12
 
 UNIFORM = "uniform"
 NORMAL = "normal"
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +290,5 @@ def _cached_restricted(name: str, rho: float, n_outer: int, n_inner: int, seed: 
         full[:, active] = x_sub
         return evaluate(f, full)
 
-    values = []
-    for pos in range(len(active)):
-        ss = np.random.SeedSequence(entropy=seed & _SEED_MASK, spawn_key=(pos,))
-        sub_seed = int(ss.generate_state(1, np.uint64)[0])
-        values.append(double_mc_total_sobol(spec, embedded, pos, n_outer, n_inner, sub_seed))
-    return tuple(values)
+    return tuple(double_mc_total_sobol(spec, embedded, pos, n_outer, n_inner, derive_seed(seed, pos))
+                 for pos in range(len(active)))

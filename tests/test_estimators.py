@@ -6,6 +6,7 @@ import pytest
 from first.estimators import (
     EstimatorConfig,
     conditional_variance_effect,
+    derive_seed,
     explainable_variance,
     nanne,
     total_variance,
@@ -86,6 +87,12 @@ class TestConditionalVarianceEffect:
         m, y = encoded(rng.uniform(size=(10, 2)), rng.uniform(size=10))
         with pytest.raises(ValueError, match="non-empty"):
             conditional_variance_effect(m, y, [], CFG)
+
+    def test_response_length_mismatch_rejected(self, rng):
+        m, y = encoded(rng.uniform(size=(10, 2)), rng.uniform(size=10))
+        for bad in (y[:8], np.concatenate([y, y])):
+            with pytest.raises(ValueError, match="one value per row"):
+                conditional_variance_effect(m, bad, [0], CFG)
 
 
 class TestExplainableVariance:
@@ -223,3 +230,7 @@ class TestConfig:
         assert cfg.with_step_seed(0).seed == cfg.with_step_seed(0).seed
         assert cfg.with_step_seed(0).seed != cfg.with_step_seed(1).seed
         assert EstimatorConfig(seed=123).with_step_seed(3) == EstimatorConfig(seed=123)
+        # Derived seeds reach the selection meta and benchmark reports: pin them.
+        assert cfg.with_step_seed(3).seed == derive_seed(123, 3) == 15673771762283591188
+        assert derive_seed(2024, 1) == 7778828159576237216
+        assert derive_seed(-1, 0) == 14031750673298188677
