@@ -40,7 +40,6 @@ from .synthetic import (
     BENCHMARKS,
     BenchmarkFunction,
     CopulaSpec,
-    conditional_sample,
     double_mc_total_sobol,
     evaluate,
     generate_binary,
@@ -69,7 +68,6 @@ __all__ = [
     "SelectionStep",
     "SelectionTrace",
     "build_index",
-    "conditional_sample",
     "conditional_variance_effect",
     "double_mc_total_sobol",
     "encode",

@@ -73,30 +73,21 @@ class Dataset:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    def is_binary_response(self) -> bool:
-        """True when every response value is 0 or 1."""
-        return bool(np.isin(self.response, (0.0, 1.0)).all())
-
 
 @dataclass(frozen=True, eq=False)
 class EncodedMatrix:
     """Numeric N x q matrix on which all neighbor distances are computed.
 
     ``group_map[j]`` holds the encoded column indices owned by factor j; the
-    groups partition ``range(q)``. ``scale_mean``/``scale_sd`` record the
-    per-column standardization applied (identity for one-hot and raw
-    columns). Encoded columns with zero variance are listed in
-    ``constant_columns`` as a diagnostic; constant continuous columns are
-    mapped to all-zero so they cannot perturb distances.
+    groups partition ``range(q)``. Encoded columns with zero variance are
+    listed in ``constant_columns`` as a diagnostic; when standardizing,
+    constant continuous columns are mapped to all-zero so they cannot
+    perturb distances.
     """
 
     values: np.ndarray
     group_map: tuple[tuple[int, ...], ...]
-    factor_names: tuple[str, ...]
-    scale_mean: np.ndarray
-    scale_sd: np.ndarray
     constant_columns: tuple[int, ...] = ()
-    standardized: bool = True
 
     def __post_init__(self):
         q = self.values.shape[1]
@@ -106,8 +97,6 @@ class EncodedMatrix:
         if any(len(g) == 0 for g in self.group_map):
             raise DataError("every factor must own at least one encoded column")
         self.values.flags.writeable = False
-        self.scale_mean.flags.writeable = False
-        self.scale_sd.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -246,31 +235,17 @@ def encode(dataset: Dataset, standardize: bool = True) -> EncodedMatrix:
     """
     blocks: list[np.ndarray] = []
     groups: list[tuple[int, ...]] = []
-    means: list[float] = []
-    sds: list[float] = []
     constant: list[int] = []
     q = 0
-    for name, kind, col in zip(dataset.factor_names, dataset.factor_kinds, dataset.factors):
+    for kind, col in zip(dataset.factor_kinds, dataset.factors):
         if kind == CONTINUOUS:
             x = np.asarray(col, dtype=np.float64)
-            mu = float(x.mean())
             sd = float(x.std(ddof=1))
+            if sd == 0.0:
+                constant.append(q)
             if standardize:
-                if sd > 0.0:
-                    blocks.append((x - mu) / sd)
-                    means.append(mu)
-                    sds.append(sd)
-                else:
-                    blocks.append(np.zeros_like(x))
-                    means.append(mu)
-                    sds.append(1.0)
-                    constant.append(q)
-            else:
-                blocks.append(x.copy())
-                means.append(0.0)
-                sds.append(1.0)
-                if sd == 0.0:
-                    constant.append(q)
+                x = (x - x.mean()) / sd if sd > 0.0 else np.zeros_like(x)
+            blocks.append(x)
             groups.append((q,))
             q += 1
         else:
@@ -279,8 +254,6 @@ def encode(dataset: Dataset, standardize: bool = True) -> EncodedMatrix:
             for level in levels:
                 onehot = (col == level).astype(np.float64)
                 blocks.append(onehot)
-                means.append(0.0)
-                sds.append(1.0)
                 if onehot.min() == onehot.max():
                     constant.append(q)
                 group.append(q)
@@ -288,12 +261,4 @@ def encode(dataset: Dataset, standardize: bool = True) -> EncodedMatrix:
             groups.append(tuple(group))
 
     values = np.ascontiguousarray(np.column_stack(blocks), dtype=np.float64)
-    return EncodedMatrix(
-        values=values,
-        group_map=tuple(groups),
-        factor_names=dataset.factor_names,
-        scale_mean=np.array(means),
-        scale_sd=np.array(sds),
-        constant_columns=tuple(constant),
-        standardized=standardize,
-    )
+    return EncodedMatrix(values=values, group_map=tuple(groups), constant_columns=tuple(constant))

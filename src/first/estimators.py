@@ -158,6 +158,8 @@ def prepare(matrix, y, cfg: EstimatorConfig) -> EffectContext:
     n = matrix.n_rows
     if y.shape != (n,):
         raise ValueError(f"response must have one value per row ({n}), got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("response contains non-finite values")
     k = cfg.resolve_n_inner(y)
     if n < max(k, 2):
         raise ValueError(f"need at least {max(k, 2)} rows, got {n}")

@@ -39,8 +39,6 @@ def worker_count() -> int:
 class NeighborIndex:
     """Immutable spatial index over a projection of the encoded matrix."""
 
-    factors: tuple[int, ...]
-    columns: tuple[int, ...]
     points: np.ndarray
     tree: cKDTree
 
@@ -60,11 +58,9 @@ def build_index(matrix, factors) -> NeighborIndex:
         raise ValueError("factor subset must be non-empty")
     if factors[0] < 0 or factors[-1] >= matrix.n_factors:
         raise ValueError(f"factor indices out of range 0..{matrix.n_factors - 1}")
-    cols = matrix.columns_for(factors)
-    points = np.ascontiguousarray(matrix.values[:, cols])
+    points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(factors)])
     points.flags.writeable = False
-    tree = cKDTree(points, copy_data=False)
-    return NeighborIndex(factors=factors, columns=tuple(int(c) for c in cols), points=points, tree=tree)
+    return NeighborIndex(points=points, tree=cKDTree(points, copy_data=False))
 
 
 def _exact_within_ids(index: NeighborIndex, row: int, k: int) -> np.ndarray:

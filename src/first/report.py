@@ -8,7 +8,7 @@ report is reproducible bit for bit regardless of the worker count.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .synthetic import (
 )
 
 METHODS = ("first", "first_fast")
+
+#: BenchmarkReport fields serialized under the report's "aggregates" key.
+AGGREGATES = ("mean_tau", "exact_rate", "mean_tpr", "mean_fpr", "mean_runtime_s")
 
 
 def kendall_tau_b(truth, estimate) -> float:
@@ -62,15 +65,13 @@ class SelectionMetrics:
     exact: bool
     tpr: float
     fpr: float
-    fpr_defined: bool = True
 
 
 def selection_metrics(true_set, selected, p: int) -> SelectionMetrics:
     """Compare a selected factor set against the true model variables.
 
     The false positive rate is taken over the ``p - |true_set|`` inert
-    factors; when there are none it is reported as 0 with
-    ``fpr_defined=False``.
+    factors; when there are none it is reported as 0.
     """
     true_set = set(int(i) for i in true_set)
     selected = set(int(i) for i in selected)
@@ -80,10 +81,8 @@ def selection_metrics(true_set, selected, p: int) -> SelectionMetrics:
         raise ValueError("factor indices must lie in range(p)")
     tpr = len(selected & true_set) / len(true_set)
     inert = p - len(true_set)
-    if inert == 0:
-        return SelectionMetrics(exact=selected == true_set, tpr=tpr, fpr=0.0, fpr_defined=False)
-    fpr = len(selected - true_set) / inert
-    return SelectionMetrics(exact=selected == true_set, tpr=tpr, fpr=fpr, fpr_defined=True)
+    fpr = len(selected - true_set) / inert if inert else 0.0
+    return SelectionMetrics(exact=selected == true_set, tpr=tpr, fpr=fpr)
 
 
 @dataclass(frozen=True)
@@ -101,17 +100,7 @@ class Replication:
     fpr: float
 
     def to_dict(self) -> dict:
-        return {
-            "rep": self.rep,
-            "seed": self.seed,
-            "importance": list(self.importance),
-            "selected": list(self.selected),
-            "runtime_s": self.runtime_s,
-            "tau": self.tau,
-            "exact": self.exact,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -137,45 +126,20 @@ class BenchmarkReport:
     mean_runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "p": self.p,
-            "rho": self.rho,
-            "n": self.n,
-            "reps": self.reps,
-            "method": self.method,
-            "seed": self.seed,
-            "binary": self.binary,
-            "noise_sd": self.noise_sd,
-            "n_inner": self.n_inner,
-            "truth": None if self.truth is None else list(self.truth),
-            "replications": [r.to_dict() for r in self.replications],
-            "aggregates": {
-                "mean_tau": self.mean_tau,
-                "exact_rate": self.exact_rate,
-                "mean_tpr": self.mean_tpr,
-                "mean_fpr": self.mean_fpr,
-                "mean_runtime_s": self.mean_runtime_s,
-            },
-        }
+        d = asdict(self)
+        d["aggregates"] = {name: d.pop(name) for name in AGGREGATES}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkReport":
-        agg = d["aggregates"]
-        reps = [Replication(**r) for r in d["replications"]]
-        return cls(
-            function=d["function"], p=d["p"], rho=d["rho"], n=d["n"], reps=d["reps"],
-            method=d["method"], seed=d["seed"], binary=d["binary"], noise_sd=d["noise_sd"],
-            n_inner=d["n_inner"], truth=d["truth"], replications=reps,
-            mean_tau=agg["mean_tau"], exact_rate=agg["exact_rate"],
-            mean_tpr=agg["mean_tpr"], mean_fpr=agg["mean_fpr"],
-            mean_runtime_s=agg["mean_runtime_s"],
-        )
+        kwargs = {k: v for k, v in d.items() if k != "aggregates"}
+        kwargs["replications"] = [Replication(**r) for r in d["replications"]]
+        return cls(**kwargs, **d["aggregates"])
 
 
 def _run_replication(args) -> tuple:
     """Generate one dataset and run selection on it (process-pool entry)."""
-    (name, p, rho, n, rep_seed, method, n_inner, n_outer, mode, binary, noise_sd) = args
+    (name, p, rho, n, rep_seed, method, n_inner, binary, noise_sd) = args
     f = BENCHMARKS[name]
     spec = CopulaSpec.ar1(p, rho)
     if binary:
@@ -183,7 +147,7 @@ def _run_replication(args) -> tuple:
     else:
         ds = generate_regression(spec, f, noise_sd, n, rep_seed)
     matrix = encode(ds)
-    cfg = EstimatorConfig(n_inner=n_inner, n_outer=n_outer, subsample_mode=mode, seed=rep_seed)
+    cfg = EstimatorConfig(n_inner=n_inner, seed=rep_seed)
     select = first if method == "first" else first_fast
     start = time.perf_counter()
     trace = select(matrix, ds.response, cfg)
@@ -193,9 +157,7 @@ def _run_replication(args) -> tuple:
 
 def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: str,
                   seed: int, binary: bool = False, noise_sd: float = 1.0,
-                  n_inner: int | None = None, n_outer: int | str = "all",
-                  subsample_mode: str = "without_replacement",
-                  groundtruth_n_outer: int = 100_000) -> BenchmarkReport:
+                  n_inner: int | None = None, groundtruth_n_outer: int = 100_000) -> BenchmarkReport:
     """Run ``reps`` generate/select/score replications of one benchmark cell.
 
     For regression cells the groundtruth importance (restricted to the true
@@ -206,6 +168,8 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     """
     if function not in BENCHMARKS:
         raise ValueError(f"unknown benchmark function {function!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     f = BENCHMARKS[function]
@@ -216,8 +180,7 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
         truth = restricted_groundtruth(function, p, rho, n_outer=groundtruth_n_outer, seed=seed)
 
     tasks = [
-        (function, p, rho, n, derive_seed(seed, rep), method,
-         n_inner, n_outer, subsample_mode, binary, noise_sd)
+        (function, p, rho, n, derive_seed(seed, rep), method, n_inner, binary, noise_sd)
         for rep in range(reps)
     ]
     workers = min(worker_count(), reps)

@@ -63,28 +63,21 @@ def _backward_eliminate(ctx, factors):
 
     Returns ``(scores, steps)`` where ``scores`` maps each surviving factor
     to a strictly positive index; an empty dict means everything was
-    eliminated. Terminates after at most ``len(factors)`` rounds because
-    the active set strictly shrinks whenever the loop continues.
+    eliminated. Every round either returns or strictly shrinks the active
+    set, so there are at most ``len(factors)`` rounds.
     """
     active = sorted(set(int(f) for f in factors))
     if not active:
         raise ValueError("factor set must be non-empty")
-    scores = {i: 1.0 / len(active) for i in active}
     steps: list[SelectionStep] = []
-    rounds = 0
-    while True:
-        survivors = [i for i in active if scores[i] > 0.0]
-        for i in active:
-            if i not in survivors:
-                steps.append(SelectionStep(ELIMINATE, i, 0.0))
-        active = survivors
-        if not active:
-            return {}, steps
+    while active:
         scores = subset_scores(ctx, active)[0]
-        rounds += 1
-        assert rounds <= len(factors) + 1, "elimination failed to terminate"
-        if min(scores.values()) > 0.0:
+        survivors = [i for i in active if scores[i] > 0.0]
+        if survivors == active:
             return scores, steps
+        steps.extend(SelectionStep(ELIMINATE, i, 0.0) for i in active if i not in survivors)
+        active = survivors
+    return {}, steps
 
 
 def nanne_be(matrix, y, factors, cfg: EstimatorConfig | None = None) -> np.ndarray:
@@ -121,26 +114,12 @@ def _forward_select(ctx, cfg, prune: bool):
     exhausted, which subsumes the same stopping rule). Each step draws its
     own outer rows from a step-derived seed.
     """
-    p = ctx.matrix.n_factors
     active: list[int] = []
     v_active = 0.0
-    pool = list(range(p))
+    pool = list(range(ctx.matrix.n_factors))
     steps: list[SelectionStep] = []
-    chosen: int | None = None
-    v_chosen = 0.0
     step_seeds: list[int] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        assert iterations <= p + 1, "forward selection failed to terminate"
-        if chosen is not None:
-            active.append(chosen)
-            pool.remove(chosen)
-            v_active = v_chosen
-            steps.append(SelectionStep(ADD, chosen, v_active))
-            chosen = None
-        if not pool:
-            break
+    while pool:
         step_cfg = cfg.with_step_seed(len(step_seeds))
         step_seeds.append(step_cfg.seed)
         step_ctx = replace(ctx, rows=outer_rows(step_cfg, ctx.matrix.n_rows))
@@ -148,14 +127,16 @@ def _forward_select(ctx, cfg, prune: bool):
         best = min(pool, key=lambda i: (-values[i], i))
         if prune:
             dropped = [i for i in pool if values[i] < v_active]
-            for i in dropped:
-                steps.append(SelectionStep(PRUNE, i, values[i]))
+            steps.extend(SelectionStep(PRUNE, i, values[i]) for i in dropped)
             pool = [i for i in pool if i not in dropped]
             if best not in pool:
                 break
         elif not values[best] > v_active:
             break
-        chosen, v_chosen = best, values[best]
+        active.append(best)
+        pool.remove(best)
+        v_active = values[best]
+        steps.append(SelectionStep(ADD, best, v_active))
     return active, steps, step_seeds
 
 

@@ -8,20 +8,15 @@ univariate conditional Gaussian, which is what lets the nested Monte Carlo
 oracle compute exact total Sobol' indices for evaluable test functions.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .dataset import CONTINUOUS, Dataset
 from .estimators import derive_seed
-
-# Uniform copula coordinates are clipped to this open interval before the
-# normal quantile transform, keeping conditional draws finite.
-UNIFORM_CLIP = 1e-12
 
 UNIFORM = "uniform"
 NORMAL = "normal"
@@ -78,17 +73,6 @@ def _to_uniform(z: np.ndarray, marginal: str) -> np.ndarray:
     return ndtr(z) if marginal == UNIFORM else z
 
 
-def _to_latent(x, marginal: str, clip_warn: bool = False):
-    if marginal == NORMAL:
-        return np.asarray(x, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    clipped = np.clip(x, UNIFORM_CLIP, 1.0 - UNIFORM_CLIP)
-    if clip_warn and np.any(clipped != x):
-        warnings.warn("uniform coordinates clipped away from {0,1} before the "
-                      "normal quantile transform", stacklevel=3)
-    return ndtri(clipped)
-
-
 def _sample_latent(spec: CopulaSpec, n: int, rng) -> np.ndarray:
     chol = np.linalg.cholesky(spec.correlation)
     return rng.standard_normal((n, spec.dim)) @ chol.T
@@ -115,27 +99,6 @@ def _conditional_coefficients(spec: CopulaSpec, i: int):
     weights = np.linalg.solve(sigma[np.ix_(rest, rest)], cross)
     resid = float(sigma[i, i] - cross @ weights)
     return rest, weights, np.sqrt(max(resid, 0.0))
-
-
-def conditional_sample(spec: CopulaSpec, fixed, i: int, count: int, seed: int) -> np.ndarray:
-    """Draw from X_i given the other coordinates fixed at ``fixed``.
-
-    ``fixed`` lists the values of the other dimensions in increasing
-    dimension order (dimension i omitted). Uniform coordinates on the
-    closed boundary are clipped inward with a warning.
-    """
-    fixed = np.asarray(fixed, dtype=np.float64)
-    if fixed.shape != (spec.dim - 1,):
-        raise ValueError(f"fixed must have length {spec.dim - 1}, got {fixed.shape}")
-    rest, weights, resid_sd = _conditional_coefficients(spec, i)
-    z_rest = np.array([
-        _to_latent(fixed[pos], spec.marginals[j], clip_warn=True)
-        for pos, j in enumerate(rest)
-    ], dtype=np.float64)
-    mean = float(z_rest @ weights)
-    rng = np.random.default_rng(seed)
-    z = mean + resid_sd * rng.standard_normal(count)
-    return _to_uniform(z, spec.marginals[i])
 
 
 @dataclass(frozen=True)

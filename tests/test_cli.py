@@ -150,6 +150,13 @@ class TestBenchmark:
         assert payload["truth"] is None
         assert payload["aggregates"]["mean_tau"] is None
 
+    def test_zero_reps_is_input_error(self, capsys):
+        code, payload, err = run_cli(
+            capsys, "benchmark", "--function", "ishigami", "--p", "3", "--reps", "0")
+        assert code == EXIT_INPUT
+        assert payload is None
+        assert "reps" in err
+
     def test_bad_function_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--function", "nope", "--p", "3"])

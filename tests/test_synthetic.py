@@ -9,7 +9,6 @@ from first.dataset import load_csv, save_csv
 from first.synthetic import (
     BENCHMARKS,
     CopulaSpec,
-    conditional_sample,
     double_mc_total_sobol,
     evaluate,
     generate_binary,
@@ -75,37 +74,6 @@ class TestSampleInputs:
         np.testing.assert_array_equal(sample_inputs(spec, 50, 9), sample_inputs(spec, 50, 9))
 
 
-class TestConditionalSample:
-    def test_independent_conditional_is_marginal(self):
-        spec = CopulaSpec.ar1(3, 0.0)
-        draws = conditional_sample(spec, fixed=[0.3, 0.8], i=1, count=10_000, seed=5)
-        assert stats.kstest(draws, "uniform").statistic < 0.03
-
-    def test_bivariate_strong_correlation_moments(self):
-        # Z1 | Z2 = 0 is centered with variance 1 - rho^2 = 0.19
-        spec = CopulaSpec.ar1(2, 0.9)
-        draws = conditional_sample(spec, fixed=[0.5], i=0, count=10_000, seed=6)
-        z = ndtri(draws)
-        assert z.mean() == pytest.approx(0.0, abs=0.02)
-        assert z.var() == pytest.approx(0.19, abs=0.01)
-
-    def test_single_draw_stays_in_unit_interval(self):
-        spec = CopulaSpec.ar1(4, 0.6)
-        value = conditional_sample(spec, fixed=[0.2, 0.9, 0.5], i=2, count=1, seed=7)
-        assert 0.0 < value[0] < 1.0
-
-    def test_boundary_values_clipped_with_warning(self):
-        spec = CopulaSpec.ar1(2, 0.5)
-        with pytest.warns(UserWarning, match="clipped"):
-            draws = conditional_sample(spec, fixed=[1.0], i=0, count=5, seed=8)
-        assert np.all(np.isfinite(draws))
-
-    def test_wrong_fixed_length(self):
-        spec = CopulaSpec.ar1(3, 0.0)
-        with pytest.raises(ValueError, match="length"):
-            conditional_sample(spec, fixed=[0.5], i=0, count=1, seed=9)
-
-
 class TestBenchmarkFunctions:
     def test_ishigami_midpoint_is_zero(self):
         assert evaluate(BENCHMARKS["ishigami"], [0.5, 0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
@@ -158,7 +126,6 @@ class TestGenerators:
         spec = CopulaSpec.ar1(2, 0.0)
         ds = generate_binary(spec, lambda x: np.zeros(len(x)), 10_000, seed=12)
         assert ds.response.mean() == pytest.approx(0.5, abs=0.02)
-        assert ds.is_binary_response()
 
     def test_binary_saturates_for_large_function(self):
         spec = CopulaSpec.ar1(2, 0.0)
