@@ -162,9 +162,9 @@ def cmd_benchmark(args) -> int:
         method=args.method.replace("-", "_"), seed=args.seed,
         binary=args.binary, noise_sd=args.noise_sd, n_inner=args.ni,
     )
-    _emit(report.to_dict())
-    agg = report.to_dict()["aggregates"]
-    rows = [(k, "-" if v is None else f"{v:.4f}") for k, v in agg.items()]
+    payload = report.to_dict()
+    _emit(payload)
+    rows = [(k, "-" if v is None else f"{v:.4f}") for k, v in payload["aggregates"].items()]
     print(_table(rows, ("metric", "value")), file=sys.stderr)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import EncodedMatrix
-from .neighbors import build_index, query_within_batch, worker_count
+from .neighbors import build_index, query_within_batch, tied_variances, worker_count
 
 #: Inner-loop neighbor counts used when none is requested explicitly.
 DEFAULT_N_INNER_REGRESSION = 2
@@ -180,12 +180,12 @@ def _subspace_effect(ctx: EffectContext, factors) -> float:
     if ctx.total == 0.0:
         return 0.0
     index = build_index(ctx.matrix, factors)
-    ids, tied, exact = query_within_batch(index, ctx.rows, ctx.k, workers=ctx.workers)
+    ids, tied, kth = query_within_batch(index, ctx.rows, ctx.k, workers=ctx.workers)
     neigh = ctx.y[ids]
     mean = neigh.mean(axis=1)
     variances = ((neigh - mean[:, None]) ** 2).sum(axis=1) / (ctx.k - 1)
-    for pos, members in exact.items():
-        variances[pos] = ctx.y[members].var(ddof=1)
+    if tied.any():
+        variances[tied] = tied_variances(index, ctx.rows[tied], kth, ctx.k, ctx.y, ctx.workers)
     return float(variances.mean())
 
 

@@ -19,6 +19,7 @@ from .selection import first, first_fast
 from .synthetic import (
     BENCHMARKS,
     CopulaSpec,
+    check_rho,
     generate_binary,
     generate_regression,
     restricted_groundtruth,
@@ -172,6 +173,7 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
         raise ValueError(f"reps must be at least 1, got {reps}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    check_rho(rho)
     f = BENCHMARKS[function]
     if p < f.min_dim:
         raise ValueError(f"{function} needs p >= {f.min_dim}, got {p}")

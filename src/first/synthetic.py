@@ -22,6 +22,13 @@ UNIFORM = "uniform"
 NORMAL = "normal"
 
 
+def check_rho(rho: float) -> float:
+    """Return ``rho`` if it is a valid AR(1) copula correlation, in [0, 1)."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    return rho
+
+
 @dataclass(frozen=True, eq=False)
 class CopulaSpec:
     """Gaussian copula with per-dimension marginals.
@@ -62,10 +69,8 @@ class CopulaSpec:
     @classmethod
     def ar1(cls, dim: int, rho: float, marginal: str = UNIFORM) -> "CopulaSpec":
         """Banded correlation ``rho ** |i - j|`` with a common marginal."""
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {rho}")
         idx = np.arange(dim)
-        sigma = rho ** np.abs(idx[:, None] - idx[None, :]) if rho > 0 else np.eye(dim)
+        sigma = check_rho(rho) ** np.abs(idx[:, None] - idx[None, :])
         return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(marginal,) * dim)
 
 
@@ -235,7 +240,7 @@ def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000
     if p < f.min_dim:
         raise ValueError(f"{name} needs p >= {f.min_dim}")
     truth = np.zeros(p)
-    values = _cached_restricted(name, float(rho), int(n_outer), int(n_inner), int(seed))
+    values = _cached_restricted(name, float(check_rho(rho)), int(n_outer), int(n_inner), int(seed))
     for pos, j in enumerate(f.active):
         truth[j] = values[pos]
     return truth
@@ -245,7 +250,7 @@ def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000
 def _cached_restricted(name: str, rho: float, n_outer: int, n_inner: int, seed: int) -> tuple:
     f = BENCHMARKS[name]
     active = np.array(f.active)
-    sub = rho ** np.abs(active[:, None] - active[None, :]) if rho > 0 else np.eye(len(active))
+    sub = rho ** np.abs(active[:, None] - active[None, :])
     spec = CopulaSpec(correlation=np.asarray(sub, dtype=np.float64), marginals=(UNIFORM,) * len(active))
 
     def embedded(x_sub: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ independent computation path.
 import numpy as np
 import pytest
 
-from first.dataset import CONTINUOUS, Dataset, encode
+from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 
 
 def brute_within_kth(points: np.ndarray, row: int, k: int) -> list[int]:
@@ -38,6 +38,26 @@ def continuous_dataset(x: np.ndarray, y: np.ndarray, names=None) -> Dataset:
         factor_kinds=(CONTINUOUS,) * p,
         factors=tuple(np.ascontiguousarray(x[:, j], dtype=np.float64) for j in range(p)),
         response=np.asarray(y, dtype=np.float64),
+    )
+
+
+def categorical_grid_dataset(n: int, seed: int) -> Dataset:
+    """Three 3-level categoricals plus a factor on a 0.1 grid, the tie-heavy shape.
+
+    y = c1 + (2*c2 + 1) * x + N(0, 1); c3 is inert. Most within-kth queries
+    tie: rows sharing a cell tie at distance zero, and rows alone in their
+    cell tie at a positive distance.
+    """
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 3, size=(n, 3))
+    x = rng.integers(0, 11, size=n) / 10
+    y = codes[:, 0] + (2 * codes[:, 1] + 1) * x + rng.standard_normal(n)
+    levels = np.array(["a", "b", "c"], dtype=object)
+    return Dataset(
+        factor_names=("c1", "c2", "c3", "x"),
+        factor_kinds=(CATEGORICAL,) * 3 + (CONTINUOUS,),
+        factors=tuple(levels[codes[:, j]] for j in range(3)) + (x,),
+        response=y,
     )
 
 

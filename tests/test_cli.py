@@ -157,6 +157,13 @@ class TestBenchmark:
         assert payload is None
         assert "reps" in err
 
+    def test_negative_rho_is_input_error(self, capsys):
+        code, payload, err = run_cli(
+            capsys, "benchmark", "--function", "friedman", "--p", "10", "--rho", "-0.5")
+        assert code == EXIT_INPUT
+        assert payload is None
+        assert "rho must lie in [0, 1)" in err
+
     def test_bad_function_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--function", "nope", "--p", "3"])

@@ -1,13 +1,18 @@
 """Spatial index tests, including oracle equivalence against a linear scan."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
-from first.neighbors import build_index, within_kth, worker_count
-from tests.conftest import brute_within_kth, encoded
+from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
+from first.neighbors import TIE_BLOCK_FLOATS, build_index, query_within_batch, within_kth, worker_count
+from first.selection import first
+from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded
 
 
 def index_1d(values):
@@ -28,6 +33,12 @@ class TestWithinKth:
         idx = index_1d([3.0, 3.0, 7.0])
         assert within_kth(idx, 0, 1) == [0, 1]
         assert within_kth(idx, 1, 1) == [0, 1]
+
+    def test_underflowing_distance_joins_duplicate_group(self):
+        # rows 0 and 1 form a group of k=2, but row 2's squared distance to
+        # them underflows to zero, so it is inside their within-kth set too
+        idx = index_1d([0.0, 0.0, 1e-170, 5.0])
+        assert within_kth(idx, 0, 2) == brute_within_kth(idx.points, 0, 2) == [0, 1, 2]
 
     def test_ordering_by_distance_then_id(self):
         idx = index_1d([0.0, -1.0, 1.0, 2.0])
@@ -131,6 +142,79 @@ class TestOracleEquivalence:
             direct = set(within_kth(i1, row, 3))
             mapped = {int(perm[j]) for j in within_kth(i2, int(inverse[row]), 3)}
             assert direct == mapped
+
+
+class TestTieResolution:
+    """Both tie paths on three 3-level categoricals plus a 0.1-grid factor."""
+
+    N = 120
+    SUBSETS = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+
+    @pytest.fixture(scope="class")
+    def tie_data(self):
+        ds = categorical_grid_dataset(self.N, seed=4)
+        return encode(ds), ds.response
+
+    def test_shape_reaches_both_tie_paths(self, tie_data):
+        m, _ = tie_data
+        rows = np.arange(self.N)
+        for k in (2, 3):
+            kth = np.concatenate([query_within_batch(build_index(m, s), rows, k)[2] for s in self.SUBSETS])
+            assert (kth == 0.0).sum() > 1000  # duplicate groups
+            assert (kth > 0.0).sum() > 100  # ties at a positive distance
+        assert not query_within_batch(build_index(m, [0, 3]), rows, self.N)[1].any()
+
+    @pytest.mark.parametrize("k", [2, 3, N])
+    def test_effect_matches_brute_force(self, tie_data, k):
+        m, y = tie_data
+        cfg = EstimatorConfig(n_inner=k)
+        for subset in self.SUBSETS:
+            points = m.values[:, m.columns_for(subset)]
+            got = conditional_variance_effect(m, y, subset, cfg)
+            assert got == pytest.approx(brute_effect(points, y, k), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, N])
+    def test_within_kth_matches_brute_force(self, tie_data, k):
+        m, _ = tie_data
+        for subset in self.SUBSETS:
+            index = build_index(m, subset)
+            for row in range(self.N):
+                assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
+
+    def test_worker_count_bit_identity(self, tie_data, monkeypatch):
+        m, y = tie_data
+        cfg = EstimatorConfig(n_inner=3, n_outer=90, seed=7)
+        results = []
+        for workers in ("1", "4", "8"):
+            monkeypatch.setenv("FIRST_THREADS", workers)
+            results.append((nanne(m, y, cfg), first(m, y, cfg), first(m, y, EstimatorConfig())))
+        base_nanne, base_first, base_all = results[0]
+        for imp, trace, trace_all in results[1:]:
+            np.testing.assert_array_equal(imp.s_tot, base_nanne.s_tot)
+            assert (imp.noise_var, imp.signal_var) == (base_nanne.noise_var, base_nanne.signal_var)
+            for got, want in ((trace, base_first), (trace_all, base_all)):
+                assert got.steps == want.steps
+                assert got.final_active == want.final_active
+                np.testing.assert_array_equal(got.importance, want.importance)
+
+    def test_memory_bound_when_every_row_ties(self):
+        # one level per row: every pair of rows is sqrt(2) apart, so every
+        # row ties at a positive distance with all n rows as candidates
+        n = 200
+        ds = Dataset(factor_names=("c",), factor_kinds=(CATEGORICAL,),
+                     factors=(np.array([f"l{i}" for i in range(n)], dtype=object),),
+                     response=np.random.default_rng(5).standard_normal(n))
+        m = encode(ds)
+        q = m.values.shape[1]
+        tracemalloc.start()
+        try:
+            got = conditional_variance_effect(m, ds.response, [0], EstimatorConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(total_variance(ds.response), rel=1e-12)
+        block = max(TIE_BLOCK_FLOATS, n * q)
+        assert peak < 16 * block + 64 * block // q + 64 * n * q
 
 
 def test_worker_count_env(monkeypatch):

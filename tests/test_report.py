@@ -143,6 +143,14 @@ class TestRunBenchmark:
         assert r.mean_tau is None
         assert all(rep.tau is None for rep in r.replications)
 
+    def test_negative_rho_rejected_before_oracle(self, monkeypatch):
+        def oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran on an invalid rho")
+
+        monkeypatch.setattr("first.report.restricted_groundtruth", oracle)
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
+            run_benchmark("friedman", p=10, rho=-0.5, n=200, reps=1, method="first", seed=0)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             run_benchmark("cubic", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)

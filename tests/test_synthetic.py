@@ -176,6 +176,11 @@ class TestDoubleMcOracle:
         inert = [i for i in range(20) if i not in active]
         np.testing.assert_array_equal(truth[inert], 0.0)
 
+    def test_restricted_groundtruth_rejects_rho_outside_unit_interval(self):
+        for rho in (-0.5, 1.0):
+            with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
+                restricted_groundtruth("ishigami", 3, rho, n_outer=100)
+
     def test_groundtruth_stability_across_seeds(self):
         # run-to-run spread of the oracle at the reporting sample size
         for name in ("ishigami", "heavy_tailed", "friedman"):
