@@ -153,14 +153,14 @@ def load_csv(path, response, categoricals=(), on_missing="reject") -> Dataset:
             raise DataError("response column cannot be categorical")
 
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
             if any(_is_missing(cell) for cell in row):
                 if on_missing == "reject":
-                    raise DataError(f"{path}:{lineno}: missing value (use drop_rows to skip such rows)")
+                    raise DataError(f"{path}:{reader.line_num}: missing value (use drop_rows to skip such rows)")
                 continue
             rows.append(row)
     if not rows:

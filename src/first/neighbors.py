@@ -31,6 +31,16 @@ TIE_REL_EPS = 1e-9
 # tied at a positive k-th distance (8 bytes each).
 TIE_BLOCK_FLOATS = 1 << 20
 
+# Points per k-d tree leaf. Trees split at the sliding midpoint
+# (Maneewongvatana & Mount, 1999), not at scipy's default median, which
+# makes builds cheaper. Replaying every neighbor call of one op of each
+# benchmark kind as build + query, over leaf sizes 16-128 with either split,
+# sliding midpoint with 24- to 48-point leaves took about 20% less summed
+# time than scipy's default (median, 16-point leaves); no size beat 48 by
+# more than 3% (CHANGES.md has the table). Queries are exact, so neither
+# choice changes a result.
+LEAF_SIZE = 48
+
 
 def worker_count() -> int:
     """Number of worker threads/processes to use.
@@ -72,7 +82,8 @@ def build_index(matrix, factors) -> NeighborIndex:
         raise ValueError(f"factor indices out of range 0..{matrix.n_factors - 1}")
     points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(factors)])
     points.flags.writeable = False
-    return NeighborIndex(points=points, tree=cKDTree(points, copy_data=False))
+    tree = cKDTree(points, leafsize=LEAF_SIZE, balanced_tree=False, compact_nodes=False, copy_data=False)
+    return NeighborIndex(points=points, tree=tree)
 
 
 def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
@@ -110,9 +121,11 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     Returns ``(ids, tied, kth)``. ``ids`` is a ``(len(rows), k)`` array of
     neighbor row ids, valid wherever the boolean mask ``tied`` is False:
     those rows have no distance tie at the k-th value and are resolved
-    entirely inside the vectorized k-nearest query. ``kth`` holds the k-th
-    neighbor distance of each tied row, in the order of ``rows[tied]``;
-    :func:`tied_variances` resolves the tied rows from it.
+    entirely inside the vectorized k-nearest query. Ids at equal distances
+    are ordered by row id, so sums over a row's ids do not depend on the
+    shape of the tree. ``kth`` holds the k-th neighbor distance of
+    each tied row, in the order of ``rows[tied]``; :func:`tied_variances`
+    resolves the tied rows from it.
     """
     n = index.n_rows
     if k > n:
@@ -126,7 +139,12 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     dists, ids = index.tree.query(queries, k=k + 1, workers=workers)
     dk = dists[:, k - 1]
     tied = dists[:, k] <= dk * (1.0 + TIE_REL_EPS)
-    return ids[:, :k], tied, dk[tied]
+    ids, dists = ids[:, :k], dists[:, :k]
+    # the tree returns equal distances in the order its traversal met them
+    even = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
+    if even.any():
+        ids[even] = np.take_along_axis(ids[even], np.lexsort((ids[even], dists[even])), axis=1)
+    return ids, tied, dk[tied]
 
 
 def _duplicate_groups(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: int, workers: int):

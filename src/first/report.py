@@ -6,6 +6,8 @@ seed and the replication number, and are reduced in replication order, so a
 report is reproducible bit for bit regardless of the worker count.
 """
 
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -13,7 +15,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import encode
-from .estimators import EstimatorConfig, derive_seed
+from .estimators import (
+    DEFAULT_N_INNER_BINARY,
+    DEFAULT_N_INNER_REGRESSION,
+    EstimatorConfig,
+    derive_seed,
+)
 from .neighbors import worker_count
 from .selection import first, first_fast
 from .synthetic import (
@@ -156,6 +163,11 @@ def _run_replication(args) -> tuple:
     return [float(v) for v in trace.importance], [int(i) for i in trace.final_active], runtime
 
 
+def _set_threads(threads: int) -> None:
+    """Pool initializer: the query threads of one replication process."""
+    os.environ["FIRST_THREADS"] = str(threads)
+
+
 def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: str,
                   seed: int, binary: bool = False, noise_sd: float = 1.0,
                   n_inner: int | None = None, groundtruth_n_outer: int = 100_000) -> BenchmarkReport:
@@ -166,6 +178,10 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     and every replication is scored against it with tie-corrected rank
     correlation. Binary cells have no importance groundtruth, so only the
     selection metrics are reported.
+
+    Arguments are checked before the oracle runs. With P replication
+    processes, each process queries with ``max(1, worker_count() // P)``
+    threads, so the pool uses no more threads than ``FIRST_THREADS``.
     """
     if function not in BENCHMARKS:
         raise ValueError(f"unknown benchmark function {function!r}")
@@ -177,6 +193,12 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     f = BENCHMARKS[function]
     if p < f.min_dim:
         raise ValueError(f"{function} needs p >= {f.min_dim}, got {p}")
+    EstimatorConfig(n_inner=n_inner)  # rejects n_inner < 2
+    k = n_inner or (DEFAULT_N_INNER_BINARY if binary else DEFAULT_N_INNER_REGRESSION)
+    if n < max(k, 2):
+        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     truth = None
     if not binary:
         truth = restricted_groundtruth(function, p, rho, n_outer=groundtruth_n_outer, seed=seed)
@@ -185,9 +207,11 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
         (function, p, rho, n, derive_seed(seed, rep), method, n_inner, binary, noise_sd)
         for rep in range(reps)
     ]
-    workers = min(worker_count(), reps)
+    threads = worker_count()
+    workers = min(threads, reps)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
+                                 initargs=(max(1, threads // workers),)) as pool:
             raw = list(pool.map(_run_replication, tasks))
     else:
         raw = [_run_replication(t) for t in tasks]

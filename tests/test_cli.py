@@ -164,6 +164,20 @@ class TestBenchmark:
         assert payload is None
         assert "rho must lie in [0, 1)" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--ni", "1"), "n_inner must be at least 2"),
+        (("--n", "1"), "need at least 2 rows"),
+        (("--n", "2", "--ni", "3"), "need at least 3 rows"),
+        (("--noise-sd", "nan"), "noise_sd must be finite"),
+        (("--noise-sd", "-1"), "noise_sd must be finite"),
+    ])
+    def test_bad_size_or_noise_is_input_error(self, capsys, argv, message):
+        code, payload, err = run_cli(
+            capsys, "benchmark", "--function", "ishigami", "--p", "3", "--reps", "1", *argv)
+        assert code == EXIT_INPUT
+        assert payload is None
+        assert message in err
+
     def test_bad_function_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--function", "nope", "--p", "3"])

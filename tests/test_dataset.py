@@ -45,6 +45,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing value"):
             load_csv(write(tmp_path, text), response="y")
 
+    @pytest.mark.parametrize("bad, message", [("3.0\n", "expected 3 fields, got 1"),
+                                              ("3.0,,2.5\n", "missing value")])
+    def test_errors_cite_physical_line_after_multiline_cell(self, tmp_path, bad, message):
+        # the quoted cell of the first record spans lines 2 and 3
+        text = 'x1,c,y\n1.0,"two\nlines",0.5\n' + bad
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"data.csv:4: {message}"):
+            load_csv(path, response="y", categoricals={"c"})
+
     def test_missing_response_column(self, tmp_path):
         with pytest.raises(DataError, match="response column not found"):
             load_csv(write(tmp_path, BASIC), response="target")

@@ -7,10 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
-from first.neighbors import TIE_BLOCK_FLOATS, build_index, query_within_batch, within_kth, worker_count
+from first.neighbors import (
+    LEAF_SIZE,
+    TIE_BLOCK_FLOATS,
+    NeighborIndex,
+    build_index,
+    query_within_batch,
+    tied_variances,
+    within_kth,
+    worker_count,
+)
 from first.selection import first
 from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded
 
@@ -142,6 +152,79 @@ class TestOracleEquivalence:
             direct = set(within_kth(i1, row, 3))
             mapped = {int(perm[j]) for j in within_kth(i2, int(inverse[row]), 3)}
             assert direct == mapped
+
+
+def skewed_points(shape, n, rng):
+    """Point sets that stress a k-d tree's splitting rule."""
+    if shape == "lognormal":
+        return rng.lognormal(sigma=3.0, size=(n, 3))
+    if shape == "cauchy":
+        return rng.standard_cauchy(size=(n, 2))
+    if shape == "powers_of_two":
+        return 2.0 ** -np.arange(n, dtype=float)[:, None]
+    if shape == "geometric":
+        return 1.01 ** -np.arange(n, dtype=float)[:, None]
+    pts = 1e-6 * rng.standard_normal(size=(n, 2))  # a tight cluster plus one far outlier
+    pts[-1] = 1e6
+    return pts
+
+
+class TestSkewedShapes:
+    """Brute-force checks on trees of many leaves (the hypothesis sets fit in one)."""
+
+    SHAPES = [("lognormal", 400), ("cauchy", 300), ("powers_of_two", 100),
+              ("geometric", 400), ("cluster_outlier", 250)]
+
+    @pytest.fixture(scope="class", params=SHAPES, ids=[s for s, _ in SHAPES])
+    def skewed(self, request):
+        shape, n = request.param
+        rng = np.random.default_rng(11)
+        pts = skewed_points(shape, n, rng)
+        assert n > 2 * LEAF_SIZE
+        return encoded(pts, rng.standard_normal(n), standardize=False)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_within_kth_matches_brute_force(self, skewed, k):
+        m, _ = skewed
+        index = build_index(m, range(m.n_factors))
+        for row in range(m.n_rows):
+            assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_effect_matches_brute_force(self, skewed, k):
+        m, y = skewed
+        got = conditional_variance_effect(m, y, range(m.n_factors), EstimatorConfig(n_inner=k))
+        assert got == pytest.approx(brute_effect(m.values, y, k), rel=1e-12)
+
+
+class TestTreeShape:
+    """Results do not depend on how the k-d tree splits its nodes."""
+
+    @pytest.fixture(scope="class", params=["continuous", "categorical"])
+    def data(self, request):
+        if request.param == "categorical":
+            ds = categorical_grid_dataset(300, seed=8)
+            return encode(ds), ds.response
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(300, 3))
+        return encoded(x, x[:, 0] + rng.standard_normal(300))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scipy_default_tree_gives_identical_results(self, data, k):
+        m, y = data
+        rows = np.arange(m.n_rows)
+        for subset in (s for r in range(1, 5) for s in itertools.combinations(range(m.n_factors), r)):
+            index = build_index(m, subset)
+            default = NeighborIndex(points=index.points, tree=cKDTree(index.points))
+            ids, tied, kth = query_within_batch(index, rows, k, workers=1)
+            want_ids, want_tied, want_kth = query_within_batch(default, rows, k, workers=1)
+            np.testing.assert_array_equal(tied, want_tied)
+            np.testing.assert_array_equal(kth, want_kth)
+            # ids are only defined for untied rows: a tied row's k-th slot holds
+            # whichever of the tied rows the traversal met first
+            np.testing.assert_array_equal(ids[~tied], want_ids[~tied])
+            np.testing.assert_array_equal(tied_variances(index, rows[tied], kth, k, y, 1),
+                                          tied_variances(default, rows[tied], kth, k, y, 1))
 
 
 class TestTieResolution:

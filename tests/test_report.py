@@ -1,6 +1,7 @@
 """Metric and benchmark-report tests."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from first.report import (
     run_benchmark,
     selection_metrics,
 )
+from first.synthetic import _cached_restricted
 
 
 class TestKendallTau:
@@ -135,6 +137,43 @@ class TestRunBenchmark:
                 rep.pop("runtime_s")
             d["aggregates"].pop("mean_runtime_s")
         assert serial_d == parallel_d
+
+    def test_pool_splits_threads_between_processes(self, monkeypatch):
+        initargs = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initargs.append(kwargs["initargs"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("first.report.ProcessPoolExecutor", RecordingPool)
+        kwargs = dict(function="friedman", p=10, rho=0.5, n=300, reps=2,
+                      method="first", seed=9, groundtruth_n_outer=5000)
+        payloads = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("FIRST_THREADS", threads)
+            d = run_benchmark(**kwargs).to_dict()
+            for rep in d["replications"]:
+                rep.pop("runtime_s")
+            d["aggregates"].pop("mean_runtime_s")
+            payloads.append(d)
+        assert payloads[0] == payloads[1]
+        assert initargs == [(2,)]  # 4 threads over 2 processes; none at 1 thread
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(n_inner=1), "n_inner must be at least 2, got 1"),
+        (dict(n=1), "need at least 2 rows, got 1"),
+        (dict(n=2, n_inner=3), "need at least 3 rows, got 2"),
+        (dict(n=2, binary=True), "need at least 3 rows, got 2"),
+        (dict(noise_sd=float("nan")), "noise_sd must be finite and non-negative"),
+        (dict(noise_sd=-1.0), "noise_sd must be finite and non-negative"),
+    ])
+    def test_bad_arguments_rejected_before_oracle(self, bad, message):
+        kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)
+        _cached_restricted.cache_clear()
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(**{**kwargs, **bad})
+        assert _cached_restricted.cache_info().misses == 0
 
     def test_binary_reports_selection_metrics_only(self):
         r = run_benchmark("ishigami", p=4, rho=0.0, n=300, reps=2, method="first_fast",
