@@ -29,13 +29,12 @@ class EstimatorConfig:
 
     ``n_inner`` is the inner-loop neighbor count; ``None`` selects 2 for a
     regression response and 3 for a binary (0/1) response. ``n_outer`` is
-    either ``"all"`` (every row is an outer point, the default) or a
-    subsample size drawn with the given mode and seed.
+    either ``"all"`` (every row is an outer point, the default) or the
+    size of a subsample drawn without replacement with the given seed.
     """
 
     n_inner: int | None = None
     n_outer: int | str = "all"
-    subsample_mode: str = "without_replacement"
     seed: int = 0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class EstimatorConfig:
                 raise ValueError(f"n_outer must be a positive integer or 'all', got {self.n_outer!r}")
         elif self.n_outer < 1:
             raise ValueError(f"n_outer must be positive, got {self.n_outer}")
-        if self.subsample_mode not in ("without_replacement", "with_replacement"):
-            raise ValueError(f"unknown subsample_mode {self.subsample_mode!r}")
 
     def resolve_n_inner(self, y: np.ndarray) -> int:
         """Effective inner neighbor count for the given response."""
@@ -131,7 +128,7 @@ def outer_rows(cfg: EstimatorConfig, n: int) -> np.ndarray:
     if cfg.n_outer > n:
         raise ValueError(f"n_outer={cfg.n_outer} exceeds the number of rows ({n})")
     rng = np.random.default_rng(cfg.seed & _SEED_MASK)
-    picks = rng.choice(n, size=cfg.n_outer, replace=cfg.subsample_mode == "with_replacement")
+    picks = rng.choice(n, size=cfg.n_outer, replace=False)
     return np.sort(picks.astype(np.intp))
 
 

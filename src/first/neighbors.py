@@ -8,10 +8,10 @@ by random choice, which keeps all estimates deterministic.
 
 :func:`query_within_batch` resolves every row without a tie at the k-th
 distance in one vectorized k-nearest query and flags the rest. Tied rows
-take one of two vectorized paths: a row whose duplicate group (the rows at
-its exact point) has at least k members has that group as its set, and
-the remaining rows, tied at a positive distance, are resolved by an exact
-refilter of batched ball queries in blocks of bounded size.
+take one path: rows at the same point share their within-kth set, so
+each distinct tied point is resolved once, by an exact refilter of
+batched ball queries in blocks of bounded size, and its result is
+shared by all of its rows.
 """
 
 import itertools
@@ -50,9 +50,9 @@ def worker_count() -> int:
     """
     raw = os.environ.get("FIRST_THREADS", "").strip()
     if raw:
-        n = int(raw)
+        n = int(raw) if raw.isdecimal() else 0
         if n < 1:
-            raise ValueError("FIRST_THREADS must be a positive integer")
+            raise ValueError(f"FIRST_THREADS must be a positive integer, got {raw!r}")
         return n
     return os.cpu_count() or 1
 
@@ -92,8 +92,9 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
     The query row itself is included (distance zero), so the result always
     has at least ``k`` entries and may have more when distances tie at the
     k-th value. Rows are ordered by exact squared distance, then by row id.
-    This is a one-row call of :func:`query_within_batch` and of the tie
-    paths behind :func:`tied_variances`, the code the estimators run.
+    This is a one-row call of :func:`query_within_batch` and, for a tied
+    row, of the tie path behind :func:`tied_variances`, the code the
+    estimators run.
     """
     n = index.n_rows
     if not 0 <= query_row < n:
@@ -105,11 +106,7 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
     if not tied[0]:
         ids = ids[0]
     else:
-        labels, grouped = _duplicate_groups(index, rows, kth, k, workers=1)
-        if grouped[0]:
-            ids = np.flatnonzero(labels == labels[query_row])
-        else:
-            [(_, _, ids)] = _tie_blocks(index, rows, kth, k, workers=1)
+        [(_, _, ids)] = _tie_blocks(index, rows, kth, k, workers=1)
     d2 = ((index.points[ids] - index.points[query_row]) ** 2).sum(axis=1)
     order = np.lexsort((ids, d2))
     return [int(i) for i in ids[order]]
@@ -147,29 +144,6 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     return ids, tied, dk[tied]
 
 
-def _duplicate_groups(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: int, workers: int):
-    """Label the rows by duplicate group; flag the tied rows a group resolves.
-
-    A duplicate group is a set of rows with identical projected points.
-    Returns ``(labels, grouped)``: ``labels`` gives each of the n rows its
-    group id (``None`` when no row of ``rows`` has a zero k-th distance),
-    and ``grouped`` flags the entries of ``rows`` whose within-kth set is
-    exactly their group. That holds when the group has at least ``k`` rows
-    and no other row lies at distance zero from it (distinct points can
-    still have a zero squared distance once their differences underflow).
-    Time O(n log n), memory O(n·q).
-    """
-    grouped = np.zeros(len(rows), dtype=bool)
-    if not (kth == 0.0).any():
-        return None, grouped
-    uniq, labels, counts = np.unique(index.points, axis=0, return_inverse=True, return_counts=True)
-    labels = labels.reshape(-1)
-    closed = index.tree.query_ball_point(uniq, 0.0, workers=workers, return_length=True) == counts
-    own = labels[rows]
-    grouped[:] = closed[own] & (counts[own] >= k)
-    return labels, grouped
-
-
 def _tie_blocks(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: int, workers: int):
     """Exact within-kth sets of tied ``rows``, yielded in bounded blocks.
 
@@ -205,32 +179,35 @@ def tied_variances(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: i
                    values: np.ndarray, workers: int) -> np.ndarray:
     """Sample variances (ddof=1) of ``values`` over the within-kth sets of tied rows.
 
-    ``rows`` are the tied query rows and ``kth`` their k-th distances, as
-    :func:`query_within_batch` reports them; ``k`` is at least 2. Rows that
-    :func:`_duplicate_groups` resolves take their group's variance, computed
-    for every group at once in O(n) with ``bincount``. The rest, tied at a
-    positive distance, are resolved by the blocked exact refilter of
-    :func:`_tie_blocks`. No structure grows with the summed within-kth set
-    sizes: extra memory is O(n·q + TIE_BLOCK_FLOATS). With
-    B = max(TIE_BLOCK_FLOATS, n·q), a block holds at most B gathered
-    coordinates (two copies, 16·B bytes) and at most B/q candidate ids
-    (under 64 bytes each), next to the index's O(n·q): one effect
-    evaluation, index build included, stays below 16·B + 64·B/q + 64·n·q
-    bytes.
+    ``rows`` are the m tied query rows and ``kth`` their k-th distances, as
+    :func:`query_within_batch` reports them; ``k`` is at least 2. Rows at
+    the same point have the same within-kth set, so the rows are grouped
+    by exact point (one ``lexsort``: q passes over m rows), one row per
+    distinct point is resolved by the blocked exact refilter of
+    :func:`_tie_blocks`, and its variance is copied to the rest of its
+    group. No structure grows with the summed within-kth set sizes: extra
+    memory is O(m·q + n·q + TIE_BLOCK_FLOATS). Grouping holds at most two
+    copies of the tied points (16·m·q bytes), freed before the first
+    block. With B = max(TIE_BLOCK_FLOATS, n·q), a block holds at most B
+    gathered coordinates (two copies, 16·B bytes) and at most B/q
+    candidate ids (under 64 bytes each), next to the index's O(n·q): one
+    effect evaluation, index build included, stays below
+    16·B + 64·B/q + 64·n·q bytes.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    out = np.empty(len(rows))
-    labels, grouped = _duplicate_groups(index, rows, kth, k, workers)
-    if grouped.any():
-        counts = np.bincount(labels)
-        means = np.bincount(labels, values) / counts
-        squares = np.bincount(labels, (values - means[labels]) ** 2)
-        own = labels[rows[grouped]]
-        out[grouped] = squares[own] / (counts[own] - 1)
-    rest = np.flatnonzero(~grouped)
-    for pos, seg, ids in _tie_blocks(index, rows[rest], kth[rest], k, workers):
+    points = index.points[rows]
+    order = np.lexsort(points.T)
+    points = points[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (points[1:] != points[:-1]).any(axis=1)
+    del points
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(head) - 1
+    reps = order[head]
+    out = np.empty(len(reps))
+    for pos, seg, ids in _tie_blocks(index, rows[reps], kth[reps], k, workers):
         counts = np.bincount(seg, minlength=len(pos))
         members = values[ids]
         means = np.bincount(seg, members, len(pos)) / counts
-        out[rest[pos]] = np.bincount(seg, (members - means[seg]) ** 2, len(pos)) / (counts - 1)
-    return out
+        out[pos] = np.bincount(seg, (members - means[seg]) ** 2, len(pos)) / (counts - 1)
+    return out[group]

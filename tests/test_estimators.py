@@ -215,8 +215,6 @@ class TestConfig:
             EstimatorConfig(n_outer="some")
         with pytest.raises(ValueError):
             EstimatorConfig(n_outer=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(subsample_mode="bootstrap")
 
     def test_subsample_deterministic_and_bounded(self, rng):
         x = rng.uniform(size=(100, 2))
@@ -230,13 +228,6 @@ class TestConfig:
         assert a != other
         with pytest.raises(ValueError, match="exceeds"):
             conditional_variance_effect(m, y, [0], EstimatorConfig(n_inner=2, n_outer=101))
-
-    def test_with_replacement_mode(self, rng):
-        x = rng.uniform(size=(60, 2))
-        y = x[:, 0]
-        m, _ = encoded(x, y)
-        cfg = EstimatorConfig(n_inner=2, n_outer=30, seed=4, subsample_mode="with_replacement")
-        assert conditional_variance_effect(m, y, [0], cfg) >= 0.0
 
     def test_step_seed_derivation_stable(self):
         cfg = EstimatorConfig(n_inner=2, n_outer=10, seed=123)

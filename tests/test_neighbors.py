@@ -228,7 +228,7 @@ class TestTreeShape:
 
 
 class TestTieResolution:
-    """Both tie paths on three 3-level categoricals plus a 0.1-grid factor."""
+    """The tie path on three 3-level categoricals plus a 0.1-grid factor."""
 
     N = 120
     SUBSETS = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
@@ -238,12 +238,12 @@ class TestTieResolution:
         ds = categorical_grid_dataset(self.N, seed=4)
         return encode(ds), ds.response
 
-    def test_shape_reaches_both_tie_paths(self, tie_data):
+    def test_shape_ties_at_zero_and_positive_distance(self, tie_data):
         m, _ = tie_data
         rows = np.arange(self.N)
         for k in (2, 3):
             kth = np.concatenate([query_within_batch(build_index(m, s), rows, k)[2] for s in self.SUBSETS])
-            assert (kth == 0.0).sum() > 1000  # duplicate groups
+            assert (kth == 0.0).sum() > 1000  # rows sharing a point with at least k-1 others
             assert (kth > 0.0).sum() > 100  # ties at a positive distance
         assert not query_within_batch(build_index(m, [0, 3]), rows, self.N)[1].any()
 
@@ -263,6 +263,23 @@ class TestTieResolution:
             index = build_index(m, subset)
             for row in range(self.N):
                 assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tied_variances_match_brute_force_per_row(self, tie_data, k):
+        m, y = tie_data
+        cases = [(build_index(m, subset), y) for subset in self.SUBSETS]
+        # 0.0 and -0.0 are one point; the groups at 1, 2 and 3 are smaller
+        # than k = 3 and tie at a positive distance
+        signed = index_1d([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 2.0, 3.0, 3.0, -0.0, 5.0])
+        assert np.signbit(signed.points[:, 0]).sum() == 3
+        cases.append((signed, np.random.default_rng(6).standard_normal(signed.n_rows)))
+        for index, values in cases:
+            rows = np.arange(index.n_rows)
+            _, tied, kth = query_within_batch(index, rows, k, workers=1)
+            got = tied_variances(index, rows[tied], kth, k, values, 1)
+            want = [np.var(values[brute_within_kth(index.points, row, k)], ddof=1) for row in rows[tied]]
+            assert got.tolist() == pytest.approx(want, rel=1e-12)
+        assert (kth == 0.0).any() and (kth > 0.0).any()  # the 1-d case has both kinds of tie
 
     def test_worker_count_bit_identity(self, tie_data, monkeypatch):
         m, y = tie_data
@@ -303,8 +320,9 @@ class TestTieResolution:
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("FIRST_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("FIRST_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+    for bad in ("0", "abc", "2.5"):
+        monkeypatch.setenv("FIRST_THREADS", bad)
+        with pytest.raises(ValueError, match=f"FIRST_THREADS must be a positive integer, got '{bad}'"):
+            worker_count()
     monkeypatch.delenv("FIRST_THREADS")
     assert worker_count() >= 1
