@@ -238,7 +238,8 @@ class TestTieResolution:
         ds = categorical_grid_dataset(self.N, seed=4)
         return encode(ds), ds.response
 
-    def test_shape_ties_at_zero_and_positive_distance(self, tie_data):
+    def test_shape_reaches_both_tie_paths(self, tie_data):
+        """The shape ties rows both at zero distance (shared points) and at a positive distance."""
         m, _ = tie_data
         rows = np.arange(self.N)
         for k in (2, 3):
