@@ -31,6 +31,8 @@ class EstimatorConfig:
     regression response and 3 for a binary (0/1) response. ``n_outer`` is
     either ``"all"`` (every row is an outer point, the default) or the
     size of a subsample drawn without replacement with the given seed.
+    Both counts must be integers; a float or a bool raises ``ValueError``,
+    and a numpy integer is stored as ``int``.
     """
 
     n_inner: int | None = None
@@ -38,13 +40,17 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_inner is not None and self.n_inner < 2:
-            raise ValueError(f"n_inner must be at least 2, got {self.n_inner}")
+        if self.n_inner is not None:
+            _set_count(self, "n_inner")
+            if self.n_inner < 2:
+                raise ValueError(f"n_inner must be at least 2, got {self.n_inner}")
         if isinstance(self.n_outer, str):
             if self.n_outer != "all":
                 raise ValueError(f"n_outer must be a positive integer or 'all', got {self.n_outer!r}")
-        elif self.n_outer < 1:
-            raise ValueError(f"n_outer must be positive, got {self.n_outer}")
+        else:
+            _set_count(self, "n_outer")
+            if self.n_outer < 1:
+                raise ValueError(f"n_outer must be positive, got {self.n_outer}")
 
     def resolve_n_inner(self, y: np.ndarray) -> int:
         """Effective inner neighbor count for the given response."""
@@ -62,6 +68,14 @@ class EstimatorConfig:
         if self.n_outer == "all":
             return self
         return replace(self, seed=derive_seed(self.seed, step))
+
+
+def _set_count(cfg: EstimatorConfig, name: str) -> None:
+    """Reject a non-integer or bool count; store a numpy integer as ``int``."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(cfg, name, int(value))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -10,8 +10,22 @@ by random choice, which keeps all estimates deterministic.
 distance in one vectorized k-nearest query and flags the rest. Tied rows
 take one path: rows at the same point share their within-kth set, so
 each distinct tied point is resolved once, by an exact refilter of
-batched ball queries in blocks of bounded size, and its result is
+batched candidate searches in blocks of bounded size, and its result is
 shared by all of its rows.
+
+Two backends sit behind :func:`build_index`, chosen by the subspace's
+encoded width q. Below ``DENSE_MIN_COLUMNS`` columns a k-d tree answers
+the k-nearest query and the tie candidates' ball queries. From that width
+on, where a tree does little better than a linear scan, the dense backend
+scans row blocks: one matrix product per block gives the product distance
+‖a‖² + ‖b‖² − 2·a·b to every row, argmin passes take the k nearest, and
+a threshold on the same distances collects tie candidates. Its memory is
+O(b·n) for the one block in flight, next to the index's O(n·q). A row is flagged tied when
+its (k+1)-th distance is within ``TIE_REL_EPS`` of its k-th or within the
+products' rounding bound of it, so an untied row's ids are exactly its k
+nearest. Membership of tied rows is decided on exact sums of squared
+differences on both backends, and untied ids are ordered by exact squared
+distance, then id, so results do not depend on the backend's arithmetic.
 """
 
 import itertools
@@ -41,6 +55,21 @@ TIE_BLOCK_FLOATS = 1 << 20
 # choice changes a result.
 LEAF_SIZE = 48
 
+# Subspaces with at least this many encoded columns take the dense backend.
+# Build plus a k=2 query of every row, one thread, z-scored Friedman data
+# (rho=0.5), tree against dense: 67 / 173 ms at q=8, 146 / 180 at q=10,
+# 215 / 184 at q=11 and 286 / 189 at q=12 for n=10,000; 676 / 811 at q=11
+# and 918 / 850 at q=12 for n=20,000. At n=1,000 the dense backend is
+# faster from q=8 on, but by at most 3.5 ms per subspace below q=12.
+DENSE_MIN_COLUMNS = 12
+
+# Product distances computed at once per dense block (8 bytes each).
+DENSE_BLOCK_FLOATS = 1 << 18
+
+# Largest k whose k nearest are taken by argmin passes; larger k uses one
+# argpartition, which costs about as much as 40 passes.
+ARGMIN_MAX_K = 32
+
 
 def worker_count() -> int:
     """Number of worker threads/processes to use.
@@ -59,10 +88,17 @@ def worker_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Immutable spatial index over a projection of the encoded matrix."""
+    """Immutable spatial index over a projection of the encoded matrix.
+
+    A narrow subspace has a k-d ``tree``. A wide one has ``tree=None`` and
+    holds ``centered``, the column-centered points, and ``norms``, their
+    squared row norms, for the dense backend.
+    """
 
     points: np.ndarray
-    tree: cKDTree
+    tree: cKDTree | None
+    centered: np.ndarray | None = None
+    norms: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -82,8 +118,12 @@ def build_index(matrix, factors) -> NeighborIndex:
         raise ValueError(f"factor indices out of range 0..{matrix.n_factors - 1}")
     points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(factors)])
     points.flags.writeable = False
-    tree = cKDTree(points, leafsize=LEAF_SIZE, balanced_tree=False, compact_nodes=False, copy_data=False)
-    return NeighborIndex(points=points, tree=tree)
+    if points.shape[1] < DENSE_MIN_COLUMNS:
+        tree = cKDTree(points, leafsize=LEAF_SIZE, balanced_tree=False, compact_nodes=False, copy_data=False)
+        return NeighborIndex(points=points, tree=tree)
+    centered = points - points.mean(axis=0)
+    return NeighborIndex(points=points, tree=None, centered=centered,
+                         norms=np.einsum("ij,ij->i", centered, centered))
 
 
 def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
@@ -94,7 +134,8 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
     k-th value. Rows are ordered by exact squared distance, then by row id.
     This is a one-row call of :func:`query_within_batch` and, for a tied
     row, of the tie path behind :func:`tied_variances`, the code the
-    estimators run.
+    estimators run, on whichever backend :func:`build_index` chose for the
+    index.
     """
     n = index.n_rows
     if not 0 <= query_row < n:
@@ -120,9 +161,12 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     those rows have no distance tie at the k-th value and are resolved
     entirely inside the vectorized k-nearest query. Ids at equal distances
     are ordered by row id, so sums over a row's ids do not depend on the
-    shape of the tree. ``kth`` holds the k-th neighbor distance of
-    each tied row, in the order of ``rows[tied]``; :func:`tied_variances`
-    resolves the tied rows from it.
+    shape of the tree; the dense backend orders them by exact squared
+    distance, then id. ``kth`` holds the k-th neighbor distance of each
+    tied row as the backend computed it, in the order of ``rows[tied]``;
+    :func:`tied_variances` resolves the tied rows from it. ``workers``
+    threads run the tree's queries; the dense backend's product uses the
+    BLAS library's threads instead.
     """
     n = index.n_rows
     if k > n:
@@ -132,6 +176,8 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     if k == n:
         ids = np.broadcast_to(np.arange(n, dtype=np.intp), (len(rows), n))
         return ids, np.zeros(len(rows), dtype=bool), np.empty(0)
+    if index.tree is None:
+        return _dense_query(index, rows, k)
     queries = index.points[rows]
     dists, ids = index.tree.query(queries, k=k + 1, workers=workers)
     dk = dists[:, k - 1]
@@ -144,35 +190,152 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     return ids, tied, dk[tied]
 
 
+def _shifted_d2(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
+    """Product squared distances from ``rows`` to every row, less the query row's norm.
+
+    Adding ``index.norms[rows]`` gives ‖a‖² + ‖b‖² − 2·a·b over the centered
+    points, one matrix product per call; :func:`_rounding_bound` bounds its
+    error. Dropping the norm, a constant per query row, saves a pass.
+    """
+    out = np.dot(index.centered[rows] * -2.0, index.centered.T)
+    out += index.norms
+    return out
+
+
+def _rounding_bound(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
+    """Per query row, a bound on |product distance − exact squared distance|.
+
+    The exact squared distance is the plain sum of squared coordinate
+    differences, the arithmetic of the tie refilter and of the id order.
+    With S = ‖a‖² + ‖b‖² over the centered points, centering, the norms, the
+    product, the final sums and the exact sum of squares together round by
+    at most about (4q + 13)·2^-53·S. The bound doubles that, with S taken
+    at the largest norm; the ``tiny`` term covers underflow.
+    """
+    q = index.points.shape[1]
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    return (4 * q + 13) * (eps * (index.norms[rows] + index.norms.max()) + tiny)
+
+
+def _smallest(h: np.ndarray, k: int):
+    """Columns and values of the k smallest entries of each row of ``h``, ascending.
+
+    Small k takes k argmin passes, each about a fortieth of the cost of an
+    ``argpartition``, and overwrites ``h``.
+    """
+    local = np.arange(len(h))
+    if k > ARGMIN_MAX_K:
+        cols = np.argpartition(h, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(h, cols, axis=1)
+        order = np.argsort(vals, axis=1)
+        return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+    cols, vals = np.empty((len(h), k), dtype=np.intp), np.empty((len(h), k))
+    for t in range(k):
+        cols[:, t] = j = h.argmin(axis=1)
+        vals[:, t] = h[local, j]
+        h[local, j] = np.inf
+    return cols, vals
+
+
+def _dense_block(index: NeighborIndex, block: np.ndarray, k: int):
+    """k nearest rows of each row of ``block`` by product distance, self first.
+
+    Returns ``(ids, lo, hi)``: the ids sorted by exact squared distance,
+    then by id, and the k-th and (k+1)-th smallest product distances.
+    """
+    h = _shifted_d2(index, block)
+    h[np.arange(len(block)), block] = np.inf
+    cols, vals = _smallest(h, k)
+    del h
+    vals += index.norms[block][:, None]
+    np.maximum(vals, 0.0, out=vals)
+    ids = np.concatenate([block[:, None], cols[:, :k - 1]], axis=1)
+    diff = index.points[ids]
+    diff -= index.points[block][:, None]
+    d2 = np.square(diff, out=diff).sum(axis=2)
+    ids = np.take_along_axis(ids, np.lexsort((ids, d2)), axis=1)
+    lo = vals[:, k - 2] if k > 1 else np.zeros(len(block))
+    return ids, lo, vals[:, k - 1]
+
+
+def _dense_query(index: NeighborIndex, rows: np.ndarray, k: int):
+    """:func:`query_within_batch` on the dense backend.
+
+    Rows go in blocks of b = max(1, DENSE_BLOCK_FLOATS // (n + k·q)). A row
+    is tied when its (k+1)-th product distance is within ``TIE_REL_EPS`` of
+    its k-th, or within twice the rounding bound of it; otherwise its k ids
+    are exactly its k nearest rows, since no row can cross a gap wider than
+    twice the bound. Blocks run in order on the calling thread and only the
+    matrix product is parallel, on the BLAS library's threads: blocks spread
+    over worker threads made each product wait for the other threads' BLAS
+    calls, and ran 3 to 6 times slower with two BLAS threads. A block holds
+    its b·n product distances, b·k·q gathered coordinates and a few b×k
+    arrays, plus b·n ids when ``argpartition`` runs: at most
+    16·b·(n + k·q) + 48·b·k bytes, where b·(n + k·q) <=
+    max(DENSE_BLOCK_FLOATS, n + k·q). The results add O(m·k) for m rows,
+    and the index holds 16·n·q + 8·n bytes.
+    """
+    n, q = index.points.shape
+    ids, lo, hi = np.empty((len(rows), k), dtype=np.intp), np.empty(len(rows)), np.empty(len(rows))
+    step = max(1, DENSE_BLOCK_FLOATS // (n + k * q))
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        ids[part], lo[part], hi[part] = _dense_block(index, rows[part], k)
+    tied = (hi <= lo * (1.0 + TIE_REL_EPS) ** 2) | (hi - lo <= 2.0 * _rounding_bound(index, rows))
+    return ids, tied, np.sqrt(lo[tied])
+
+
+def _candidates(index: NeighborIndex, rows: np.ndarray, radii: np.ndarray, step: int, workers: int):
+    """Rows within ``radii`` of each of ``rows``, in blocks of ``step`` query rows.
+
+    Yields ``(start, lengths, ids)`` per block, ids grouped by query row and
+    ascending within a group on both backends. The dense backend widens each
+    radius by twice the rounding bound, so a group holds every row whose
+    exact distance is in range; it takes the products of as many blocks at
+    once as fit in ``DENSE_BLOCK_FLOATS``.
+    """
+    if index.tree is not None:
+        for start in range(0, len(rows), step):
+            balls = index.tree.query_ball_point(index.points[rows[start:start + step]], radii[start:start + step],
+                                                workers=workers, return_sorted=True)
+            lengths = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+            yield start, lengths, np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                                              count=lengths.sum())
+        return
+    span = step * max(1, DENSE_BLOCK_FLOATS // (step * index.n_rows))
+    for outer in range(0, len(rows), span):
+        block = rows[outer:outer + span]
+        limit = radii[outer:outer + span] ** 2 + 2.0 * _rounding_bound(index, block) - index.norms[block]
+        near = _shifted_d2(index, block) <= limit[:, None]
+        for start in range(0, len(block), step):
+            part = near[start:start + step]
+            yield outer + start, part.sum(axis=1), np.nonzero(part)[1]
+
+
 def _tie_blocks(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: int, workers: int):
     """Exact within-kth sets of tied ``rows``, yielded in bounded blocks.
 
     Each block is ``(pos, seg, ids)``: ``pos`` are the block's positions in
     ``rows`` and each member row id in ``ids`` belongs to query ``pos[seg]``.
-    A ball query with ``TIE_REL_EPS`` slack on ``kth`` collects candidates;
+    A search with ``TIE_REL_EPS`` slack on ``kth`` collects candidates;
     exact squared distances and the exact k-th smallest of them per row
     decide membership, so sets match a brute-force scan bit for bit. A block
     takes ``max(1, TIE_BLOCK_FLOATS // (n * q))`` rows, so it gathers at most
     ``max(TIE_BLOCK_FLOATS, n * q)`` candidate coordinates, held twice while
     the distances are computed: extra memory is O(n·q + TIE_BLOCK_FLOATS).
     """
-    points, tree = index.points, index.tree
+    points = index.points
     step = max(1, TIE_BLOCK_FLOATS // points.size)
-    for start in range(0, len(rows), step):
-        queries = points[rows[start:start + step]]
-        radii = kth[start:start + step] * (1.0 + TIE_REL_EPS)
-        balls = tree.query_ball_point(queries, radii, workers=workers)
-        lengths = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-        cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=lengths.sum())
-        del balls
-        seg = np.repeat(np.arange(len(queries)), lengths)
+    for start, lengths, cand in _candidates(index, rows, kth * (1.0 + TIE_REL_EPS), step, workers):
+        block = rows[start:start + len(lengths)]
+        seg = np.repeat(np.arange(len(block)), lengths)
         diff = points[cand]
-        diff -= queries[seg]
+        diff -= points[block][seg]
         d2 = np.square(diff, out=diff).sum(axis=1)
         first = np.cumsum(lengths) - lengths
         kth_d2 = d2[np.lexsort((d2, seg))[first + k - 1]]
         member = d2 <= kth_d2[seg]
-        yield np.arange(start, start + len(queries)), seg[member], cand[member]
+        yield np.arange(start, start + len(block)), seg[member], cand[member]
 
 
 def tied_variances(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: int,
@@ -192,7 +355,9 @@ def tied_variances(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: i
     gathered coordinates (two copies, 16·B bytes) and at most B/q
     candidate ids (under 64 bytes each), next to the index's O(n·q): one
     effect evaluation, index build included, stays below
-    16·B + 64·B/q + 64·n·q bytes.
+    16·B + 64·B/q + 64·n·q bytes. The dense backend's candidate search adds
+    one block of product distances and their mask, at most
+    9·max(DENSE_BLOCK_FLOATS, B/q) bytes.
     """
     rows = np.asarray(rows, dtype=np.intp)
     points = index.points[rows]

@@ -6,11 +6,13 @@ gates are seeded, so the whole suite is reproducible bit for bit.
 """
 
 import json
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from first import neighbors
 from first.dataset import encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
 from first.neighbors import build_index, within_kth
@@ -151,7 +153,7 @@ def test_criterion_07_scaling_single_replication():
     _pass(7, f"p=100 replication in {elapsed:.2f}s")
 
 
-def test_criterion_08_neighbor_oracle_equivalence():
+def _criterion_08(backend):
     rng = np.random.default_rng(8000)
     for instance in range(1000):
         n = int(rng.integers(2, 501))
@@ -169,7 +171,17 @@ def test_criterion_08_neighbor_oracle_equivalence():
                 continue
             row = int(rng.integers(n))
             assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
-    _pass(8, "within-kth sets match brute force on 1000 random instances, k in {1,2,3,5}")
+    _pass(8, f"within-kth sets match brute force on 1000 random instances, k in {{1,2,3,5}} ({backend})")
+
+
+def test_criterion_08_neighbor_oracle_equivalence(monkeypatch):
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", sys.maxsize)
+    _criterion_08("k-d tree")
+
+
+def test_criterion_08_dense_backend(monkeypatch):
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1)
+    _criterion_08("dense")
 
 
 def test_criterion_09_affine_invariance():
@@ -190,7 +202,7 @@ def test_criterion_09_affine_invariance():
     _pass(9, f"importance invariant under {checked} affine response maps")
 
 
-def test_criterion_10_worker_count_determinism(monkeypatch):
+def _criterion_10(monkeypatch, backend):
     rng = np.random.default_rng(10_000)
     x = rng.uniform(size=(500, 5))
     y = np.sin(6 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.3 * rng.standard_normal(500)
@@ -209,7 +221,17 @@ def test_criterion_10_worker_count_determinism(monkeypatch):
         assert traces[0].steps == other.steps
         assert traces[0].final_active == other.final_active
         np.testing.assert_array_equal(traces[0].importance, other.importance)
-    _pass(10, "bit-identical results across worker counts 1, 4, 8")
+    _pass(10, f"bit-identical results across worker counts 1, 4, 8 ({backend})")
+
+
+def test_criterion_10_worker_count_determinism(monkeypatch):
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", sys.maxsize)
+    _criterion_10(monkeypatch, "k-d tree")
+
+
+def test_criterion_10_dense_backend(monkeypatch):
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1)
+    _criterion_10(monkeypatch, "dense")
 
 
 @pytest.mark.filterwarnings("ignore:total Sobol' index above 1")

@@ -1,5 +1,7 @@
 """Estimator tests: hand-checked values, Monte Carlo checks, invariances."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,18 @@ class TestConfig:
             EstimatorConfig(n_outer="some")
         with pytest.raises(ValueError):
             EstimatorConfig(n_outer=0)
+
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field in ("n_inner", "n_outer")
+        for value in (2.5, 3.0, True, np.float64(4.0), np.bool_(True))] + [("n_inner", "3")])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            EstimatorConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = EstimatorConfig(n_inner=np.int64(3), n_outer=np.int32(40))
+        assert cfg == EstimatorConfig(n_inner=3, n_outer=40)
+        assert type(cfg.n_inner) is int and type(cfg.n_outer) is int
 
     def test_subsample_deterministic_and_bounded(self, rng):
         x = rng.uniform(size=(100, 2))

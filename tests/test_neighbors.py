@@ -1,6 +1,9 @@
 """Spatial index tests, including oracle equivalence against a linear scan."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from first import neighbors
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
 from first.neighbors import (
+    ARGMIN_MAX_K,
+    DENSE_BLOCK_FLOATS,
+    DENSE_MIN_COLUMNS,
     LEAF_SIZE,
     TIE_BLOCK_FLOATS,
     NeighborIndex,
@@ -307,6 +314,7 @@ class TestTieResolution:
                      response=np.random.default_rng(5).standard_normal(n))
         m = encode(ds)
         q = m.values.shape[1]
+        assert build_index(m, [0]).tree is None  # q = 200 takes the dense backend
         tracemalloc.start()
         try:
             got = conditional_variance_effect(m, ds.response, [0], EstimatorConfig())
@@ -316,6 +324,157 @@ class TestTieResolution:
         assert got == pytest.approx(total_variance(ds.response), rel=1e-12)
         block = max(TIE_BLOCK_FLOATS, n * q)
         assert peak < 16 * block + 64 * block // q + 64 * n * q
+
+
+def mixed_points(n, q, rng):
+    """Continuous rows, rows on the 0.1 grid and duplicates of both."""
+    pts = rng.uniform(size=(n, q))
+    pts[: n // 3] = pts[: n // 3].round(1)
+    dup = rng.integers(0, n, size=n // 3)
+    pts[dup[: len(dup) // 2]] = pts[dup[len(dup) // 2: 2 * (len(dup) // 2)]]
+    return pts
+
+
+def many_level_dataset(n, seed):
+    """One categorical level per row plus a factor on a 0.1 grid."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 11, size=n) / 10
+    return Dataset(factor_names=("c", "x"), factor_kinds=(CATEGORICAL, CONTINUOUS),
+                   factors=(np.array([f"l{i}" for i in range(n)], dtype=object), x),
+                   response=x + rng.standard_normal(n))
+
+
+def on_backend(monkeypatch, backend):
+    """Send every subspace to one backend."""
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1 if backend == "dense" else sys.maxsize)
+
+
+class TestDenseBackend:
+    """The blocked product backend that wide subspaces take."""
+
+    def test_dispatch_by_encoded_width(self, rng):
+        m, _ = encoded(rng.uniform(size=(30, DENSE_MIN_COLUMNS)), np.zeros(30))
+        assert build_index(m, range(DENSE_MIN_COLUMNS - 1)).tree is not None
+        index = build_index(m, range(DENSE_MIN_COLUMNS))
+        assert index.tree is None and index.points.shape == (30, DENSE_MIN_COLUMNS)
+
+    def test_large_offset_keeps_rows_untied(self):
+        # raw columns far from zero: product distances of uncentered points
+        # would round by about 1e-7 of 1e18 and flag every row as tied
+        rng = np.random.default_rng(8)
+        x = 1e9 + rng.uniform(size=(200, DENSE_MIN_COLUMNS))
+        m, _ = encoded(x, np.zeros(200), standardize=False)
+        index = build_index(m, range(DENSE_MIN_COLUMNS))
+        assert index.tree is None
+        _, tied, _ = query_within_batch(index, np.arange(200), 2)
+        assert not tied.any()
+        for row in range(0, 200, 9):
+            assert within_kth(index, row, 2) == brute_within_kth(index.points, row, 2)
+
+    @pytest.mark.parametrize("q", [10, 11, 12, 16, 24, 40])
+    def test_within_kth_matches_brute_force(self, q):
+        rng = np.random.default_rng(q)
+        n = 120
+        m, _ = encoded(mixed_points(n, q, rng), np.zeros(n), standardize=False)
+        index = build_index(m, range(q))
+        for k in (1, 2, 3, 5):
+            for row in range(n):
+                assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
+
+    def test_large_k_takes_argpartition(self, monkeypatch):
+        on_backend(monkeypatch, "dense")
+        rng = np.random.default_rng(41)
+        n, k = 150, ARGMIN_MAX_K + 3
+        m, y = encoded(mixed_points(n, 3, rng), rng.standard_normal(n), standardize=False)
+        index = build_index(m, range(3))
+        for row in range(0, n, 7):
+            assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
+        got = conditional_variance_effect(m, y, range(3), EstimatorConfig(n_inner=k))
+        assert got == pytest.approx(brute_effect(m.values, y, k), rel=1e-12)
+
+    @pytest.fixture(scope="class", params=["continuous", "mixed", "categorical", "many_levels"])
+    def data(self, request):
+        rng = np.random.default_rng(12)
+        if request.param == "continuous":
+            x = rng.uniform(size=(300, 14))
+            return encoded(x, x[:, 0] + np.sin(3 * x[:, 1]) + rng.standard_normal(300))
+        if request.param == "mixed":
+            x = mixed_points(300, 14, rng)
+            return encoded(x, x[:, 0] + rng.standard_normal(300), standardize=False)
+        ds = categorical_grid_dataset(300, seed=9) if request.param == "categorical" else many_level_dataset(80, 9)
+        return encode(ds), ds.response
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_tree_and_dense_agree(self, data, k, monkeypatch):
+        m, y = data
+        cfg = EstimatorConfig(n_inner=k)
+        p = m.n_factors
+        subsets = [tuple(range(p))] + [tuple(j for j in range(p) if j != i) for i in range(p)]
+        results = {}
+        for backend in ("tree", "dense"):
+            on_backend(monkeypatch, backend)
+            indexes = [build_index(m, s) for s in subsets]
+            results[backend] = ([[within_kth(ix, row, k) for row in range(m.n_rows)] for ix in indexes],
+                                [conditional_variance_effect(m, y, s, cfg) for s in subsets])
+        (tree_sets, tree_effects), (dense_sets, dense_effects) = results["tree"], results["dense"]
+        assert dense_sets == tree_sets
+        if k == 2:
+            assert dense_effects == tree_effects
+        else:
+            assert dense_effects == pytest.approx(tree_effects, rel=1e-12)
+
+    def test_many_level_effect_matches_brute_force(self):
+        ds = many_level_dataset(60, seed=2)
+        m, y = encode(ds), ds.response
+        assert build_index(m, [0, 1]).tree is None
+        for k in (2, 3):
+            cfg = EstimatorConfig(n_inner=k)
+            for subset in ([0, 1], [0], [1]):
+                points = m.values[:, m.columns_for(subset)]
+                got = conditional_variance_effect(m, y, subset, cfg)
+                assert got == pytest.approx(brute_effect(points, y, k), rel=1e-12)
+
+    def test_memory_bound(self):
+        n, q, k = 3000, 20, 3
+        m, _ = encoded(np.random.default_rng(3).uniform(size=(n, q)), np.zeros(n))
+        index = build_index(m, range(q))
+        rows = np.arange(n)
+        b = max(1, DENSE_BLOCK_FLOATS // (n + k * q))
+        assert b < n  # several blocks
+        tracemalloc.start()
+        try:
+            query_within_batch(index, rows, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bound in the _dense_query docstring: the results (k ids and
+        # two distances per row) and one block
+        assert peak < 8 * n * (k + 2) + 16 * b * (n + k * q) + 48 * b * k + (1 << 16)
+
+    def test_blas_thread_count_does_not_change_results(self):
+        script = (
+            "import numpy as np\n"
+            "from first import EstimatorConfig, nanne\n"
+            "from tests.test_neighbors import mixed_points\n"
+            "from tests.conftest import encoded\n"
+            "rng = np.random.default_rng(5)\n"
+            "x = rng.uniform(size=(1500, 16))\n"
+            "m, y = encoded(x, x[:, 0] * x[:, 1] + rng.standard_normal(1500))\n"
+            "w, wy = encoded(mixed_points(600, 14, rng), rng.standard_normal(600), standardize=False)\n"
+            "for mat, resp in ((m, y), (w, wy)):\n"
+            "    for k in (2, 3):\n"
+            "        r = nanne(mat, resp, EstimatorConfig(n_inner=k))\n"
+            "        print(r.s_tot.tobytes().hex(), r.noise_var.hex())\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, FIRST_THREADS="1")
+            proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
 
 
 def test_worker_count_env(monkeypatch):
