@@ -25,7 +25,9 @@ its (k+1)-th distance is within ``TIE_REL_EPS`` of its k-th or within the
 products' rounding bound of it, so an untied row's ids are exactly its k
 nearest. Membership of tied rows is decided on exact sums of squared
 differences on both backends, and untied ids are ordered by exact squared
-distance, then id, so results do not depend on the backend's arithmetic.
+distance, then id, so results do not depend on the backend's arithmetic,
+except with k >= 3 in the last bits of a row whose gap lies within the
+rounding bound.
 """
 
 import itertools
@@ -65,10 +67,6 @@ DENSE_MIN_COLUMNS = 12
 
 # Product distances computed at once per dense block (8 bytes each).
 DENSE_BLOCK_FLOATS = 1 << 18
-
-# Largest k whose k nearest are taken by argmin passes; larger k uses one
-# argpartition, which costs about as much as 40 passes.
-ARGMIN_MAX_K = 32
 
 
 def worker_count() -> int:
@@ -220,15 +218,9 @@ def _rounding_bound(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
 def _smallest(h: np.ndarray, k: int):
     """Columns and values of the k smallest entries of each row of ``h``, ascending.
 
-    Small k takes k argmin passes, each about a fortieth of the cost of an
-    ``argpartition``, and overwrites ``h``.
+    Takes k argmin passes and overwrites ``h``.
     """
     local = np.arange(len(h))
-    if k > ARGMIN_MAX_K:
-        cols = np.argpartition(h, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(h, cols, axis=1)
-        order = np.argsort(vals, axis=1)
-        return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
     cols, vals = np.empty((len(h), k), dtype=np.intp), np.empty((len(h), k))
     for t in range(k):
         cols[:, t] = j = h.argmin(axis=1)
@@ -270,7 +262,7 @@ def _dense_query(index: NeighborIndex, rows: np.ndarray, k: int):
     over worker threads made each product wait for the other threads' BLAS
     calls, and ran 3 to 6 times slower with two BLAS threads. A block holds
     its b·n product distances, b·k·q gathered coordinates and a few b×k
-    arrays, plus b·n ids when ``argpartition`` runs: at most
+    arrays: at most
     16·b·(n + k·q) + 48·b·k bytes, where b·(n + k·q) <=
     max(DENSE_BLOCK_FLOATS, n + k·q). The results add O(m·k) for m rows,
     and the index holds 16·n·q + 8·n bytes.

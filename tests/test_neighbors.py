@@ -16,7 +16,6 @@ from first import neighbors
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
 from first.neighbors import (
-    ARGMIN_MAX_K,
     DENSE_BLOCK_FLOATS,
     DENSE_MIN_COLUMNS,
     LEAF_SIZE,
@@ -305,7 +304,7 @@ class TestTieResolution:
                 assert got.final_active == want.final_active
                 np.testing.assert_array_equal(got.importance, want.importance)
 
-    def test_memory_bound_when_every_row_ties(self):
+    def test_memory_bound_when_every_row_ties(self, monkeypatch):
         # one level per row: every pair of rows is sqrt(2) apart, so every
         # row ties at a positive distance with all n rows as candidates
         n = 200
@@ -314,16 +313,18 @@ class TestTieResolution:
                      response=np.random.default_rng(5).standard_normal(n))
         m = encode(ds)
         q = m.values.shape[1]
-        assert build_index(m, [0]).tree is None  # q = 200 takes the dense backend
-        tracemalloc.start()
-        try:
-            got = conditional_variance_effect(m, ds.response, [0], EstimatorConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == pytest.approx(total_variance(ds.response), rel=1e-12)
         block = max(TIE_BLOCK_FLOATS, n * q)
-        assert peak < 16 * block + 64 * block // q + 64 * n * q
+        for backend in ("tree", "dense"):
+            on_backend(monkeypatch, backend)
+            assert (build_index(m, [0]).tree is None) == (backend == "dense")
+            tracemalloc.start()
+            try:
+                got = conditional_variance_effect(m, ds.response, [0], EstimatorConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == pytest.approx(total_variance(ds.response), rel=1e-12), backend
+            assert peak < 16 * block + 64 * block // q + 64 * n * q, backend
 
 
 def mixed_points(n, q, rng):
@@ -381,10 +382,10 @@ class TestDenseBackend:
             for row in range(n):
                 assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
 
-    def test_large_k_takes_argpartition(self, monkeypatch):
+    def test_large_k_matches_brute_force(self, monkeypatch):
         on_backend(monkeypatch, "dense")
         rng = np.random.default_rng(41)
-        n, k = 150, ARGMIN_MAX_K + 3
+        n, k = 150, 35
         m, y = encoded(mixed_points(n, 3, rng), rng.standard_normal(n), standardize=False)
         index = build_index(m, range(3))
         for row in range(0, n, 7):
