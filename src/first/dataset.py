@@ -8,6 +8,7 @@ original factor, so downstream estimators can project onto factor subsets.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +118,27 @@ class EncodedMatrix:
 def load_csv(path, response, categoricals=(), on_missing="reject") -> Dataset:
     """Load a delimited text file (header row required) into a Dataset.
 
+    The header is read with ``csv.reader``. A file without categorical
+    columns then has its body parsed in one ``np.loadtxt`` call, which
+    handles RFC-4180 quoting through ``quotechar`` and makes no per-cell
+    Python objects. That result is used only when it equals what the row
+    scan would give: the file falls back to the scan when the call raises
+    (a non-numeric or empty cell, a ragged row, undecodable text), when its
+    width differs from the header's, when the body has no rows, when a
+    value is NaN (the "nan" missing token parses to one) and when a line
+    holds one of the ASCII separators U+001C-U+001F, which ``np.loadtxt``
+    strips from a number as whitespace and ``float()`` rejects. Files with
+    categorical columns always take the scan.
+
+    The scan reads the body row by row with ``csv.reader``, rejects or
+    drops rows with a missing cell, converts each cell with ``float()`` and
+    cites the physical line in a row's error, so a file gets the same
+    result and the same message on either path.
+
     Parameters
     ----------
     path : str or Path
-        CSV file, RFC-4180 style, UTF-8.
+        CSV file, RFC-4180 style, UTF-8 with or without a byte order mark.
     response : str
         Name of the response column. Must parse as numeric.
     categoricals : iterable of str
@@ -132,7 +150,7 @@ def load_csv(path, response, categoricals=(), on_missing="reject") -> Dataset:
         raise DataError(f"on_missing must be 'reject' or 'drop_rows', got {on_missing!r}")
     categoricals = set(categoricals)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -152,51 +170,84 @@ def load_csv(path, response, categoricals=(), on_missing="reject") -> Dataset:
         if response in categoricals:
             raise DataError("response column cannot be categorical")
 
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            if any(_is_missing(cell) for cell in row):
-                if on_missing == "reject":
-                    raise DataError(f"{path}:{reader.line_num}: missing value (use drop_rows to skip such rows)")
-                continue
-            rows.append(row)
+        table = None if categoricals else _parse_numeric(fh, len(header))
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            columns = _scan(reader, path, header, response, categoricals, on_missing)
+        else:
+            columns = list(np.ascontiguousarray(table.T))
+
+    resp_pos = header.index(response)
+    y = columns.pop(resp_pos)
+    names = header[:resp_pos] + header[resp_pos + 1:]
+    return Dataset(
+        factor_names=tuple(names),
+        factor_kinds=tuple(CATEGORICAL if name in categoricals else CONTINUOUS for name in names),
+        factors=tuple(columns),
+        response=y,
+        response_name=response,
+    )
+
+
+def _numeric_lines(fh):
+    """The lines of ``fh``, up to one holding U+001C-U+001F, where it raises ValueError."""
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator in a numeric line")
+        yield line
+
+
+def _parse_numeric(fh, width):
+    """The rest of ``fh`` as a float table, or None when the row scan must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            table = np.loadtxt(_numeric_lines(fh), delimiter=",", quotechar='"', comments=None,
+                               ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width or np.isnan(table).any():
+        return None
+    return table
+
+
+def _scan(reader, path, header, response, categoricals, on_missing):
+    """Columns of the rows ``reader`` yields, in header order, checked row by row."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+        if any(_is_missing(cell) for cell in row):
+            if on_missing == "reject":
+                raise DataError(f"{path}:{reader.line_num}: missing value (use drop_rows to skip such rows)")
+            continue
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no complete rows after handling missing values")
 
     resp_pos = header.index(response)
-    names, kinds, columns = [], [], []
+    columns = [None] * len(header)
     for pos, name in enumerate(header):
         if pos == resp_pos:
             continue
         raw = [row[pos] for row in rows]
         if name in categoricals:
-            names.append(name)
-            kinds.append(CATEGORICAL)
-            columns.append(np.array([cell.strip() for cell in raw], dtype=object))
-        else:
-            try:
-                col = np.array([float(cell) for cell in raw])
-            except ValueError:
-                bad = next(c for c in raw if not _parses_float(c))
-                raise DataError(f"non-numeric value {bad!r} in continuous column {name!r}") from None
-            names.append(name)
-            kinds.append(CONTINUOUS)
-            columns.append(col)
+            columns[pos] = np.array([cell.strip() for cell in raw], dtype=object)
+            continue
+        try:
+            columns[pos] = np.array([float(cell) for cell in raw])
+        except ValueError:
+            bad = next(c for c in raw if not _parses_float(c))
+            raise DataError(f"non-numeric value {bad!r} in continuous column {name!r}") from None
     try:
-        y = np.array([float(row[resp_pos]) for row in rows])
+        columns[resp_pos] = np.array([float(row[resp_pos]) for row in rows])
     except ValueError:
         raise DataError(f"response column {response!r} contains non-numeric values") from None
-
-    return Dataset(
-        factor_names=tuple(names),
-        factor_kinds=tuple(kinds),
-        factors=tuple(columns),
-        response=y,
-        response_name=response,
-    )
+    return columns
 
 
 def _parses_float(cell: str) -> bool:
@@ -210,18 +261,21 @@ def _parses_float(cell: str) -> bool:
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV in the same format ``load_csv`` ingests.
 
-    Floats are written with full precision so that a save/load round trip
-    reproduces the data exactly.
+    Floats are written with full precision (``repr``) so that a save/load
+    round trip reproduces the data exactly. Each column is turned into
+    strings at once and the rows are written in one call.
     """
+    cols = [col.tolist() if kind == CATEGORICAL else _reprs(col)
+            for kind, col in zip(dataset.factor_kinds, dataset.factors)]
+    cols.append(_reprs(dataset.response))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.factor_names) + [dataset.response_name])
-        for i in range(dataset.n_rows):
-            row = []
-            for kind, col in zip(dataset.factor_kinds, dataset.factors):
-                row.append(col[i] if kind == CATEGORICAL else repr(float(col[i])))
-            row.append(repr(float(dataset.response[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
+
+
+def _reprs(col) -> list[str]:
+    return [repr(v) for v in np.asarray(col, dtype=np.float64).tolist()]
 
 
 def encode(dataset: Dataset, standardize: bool = True) -> EncodedMatrix:

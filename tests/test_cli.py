@@ -78,6 +78,18 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "exceeds" in err
 
+    def test_byte_order_mark_before_response_name(self, capsys, tmp_path, ishigami_csv):
+        # Excel's "CSV UTF-8" starts the file with a BOM, here right before "y"
+        moved = [",".join(cells[-1:] + cells[:-1]) for cells in
+                 (line.split(",") for line in ishigami_csv.read_text().splitlines())]
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + "\n".join(moved) + "\n", encoding="utf-8")
+        runs = [run_cli(capsys, "estimate", "--data", str(p), "--response", "y", "--seed", "1")
+                for p in (path, ishigami_csv)]
+        assert [code for code, _, _ in runs] == [EXIT_OK, EXIT_OK]
+        assert runs[0][1]["factors"] == runs[1][1]["factors"]
+        assert runs[0][1]["s_tot"] == runs[1][1]["s_tot"]
+
     def test_abalone_shaped_table_with_categorical(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
         n = 300
