@@ -8,13 +8,14 @@ variance estimate) and for each leave-one-out subset yields noise-adjusted
 total Sobol' indices without fitting any model.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import EncodedMatrix
-from .neighbors import build_index, query_within_batch, tied_variances, worker_count
+from .neighbors import build_index, query_within_batch, set_variances, tied_variances, worker_count
 
 #: Inner-loop neighbor counts used when none is requested explicitly.
 DEFAULT_N_INNER_REGRESSION = 2
@@ -31,8 +32,8 @@ class EstimatorConfig:
     regression response and 3 for a binary (0/1) response. ``n_outer`` is
     either ``"all"`` (every row is an outer point, the default) or the
     size of a subsample drawn without replacement with the given seed.
-    Both counts must be integers; a float or a bool raises ``ValueError``,
-    and a numpy integer is stored as ``int``.
+    Both counts and ``seed`` must be integers; a float or a bool raises
+    ``ValueError``, and a numpy integer is stored as ``int``.
     """
 
     n_inner: int | None = None
@@ -40,15 +41,16 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _set_integer(self, "seed")
         if self.n_inner is not None:
-            _set_count(self, "n_inner")
+            _set_integer(self, "n_inner")
             if self.n_inner < 2:
                 raise ValueError(f"n_inner must be at least 2, got {self.n_inner}")
         if isinstance(self.n_outer, str):
             if self.n_outer != "all":
                 raise ValueError(f"n_outer must be a positive integer or 'all', got {self.n_outer!r}")
         else:
-            _set_count(self, "n_outer")
+            _set_integer(self, "n_outer")
             if self.n_outer < 1:
                 raise ValueError(f"n_outer must be positive, got {self.n_outer}")
 
@@ -70,8 +72,8 @@ class EstimatorConfig:
         return replace(self, seed=derive_seed(self.seed, step))
 
 
-def _set_count(cfg: EstimatorConfig, name: str) -> None:
-    """Reject a non-integer or bool count; store a numpy integer as ``int``."""
+def _set_integer(cfg: EstimatorConfig, name: str) -> None:
+    """Reject a non-integer or bool field; store a numpy integer as ``int``."""
     value = getattr(cfg, name)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -81,10 +83,10 @@ def _set_count(cfg: EstimatorConfig, name: str) -> None:
 def derive_seed(seed: int, *key: int) -> int:
     """64-bit seed derived from a base seed and an integer key path.
 
-    The base seed is masked to 64 bits, so negative seeds are accepted.
-    Used for selection steps, benchmark replications and oracle factors.
+    Any integer base seed, negative or numpy, is masked to 64 bits. Used
+    for selection steps, benchmark replications and oracle factors.
     """
-    ss = np.random.SeedSequence(entropy=seed & _SEED_MASK, spawn_key=key)
+    ss = np.random.SeedSequence(entropy=operator.index(seed) & _SEED_MASK, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -192,9 +194,7 @@ def _subspace_effect(ctx: EffectContext, factors) -> float:
         return 0.0
     index = build_index(ctx.matrix, factors)
     ids, tied, kth = query_within_batch(index, ctx.rows, ctx.k, workers=ctx.workers)
-    neigh = ctx.y[ids]
-    mean = neigh.mean(axis=1)
-    variances = ((neigh - mean[:, None]) ** 2).sum(axis=1) / (ctx.k - 1)
+    variances = set_variances(np.repeat(np.arange(len(ids)), ctx.k), ids.ravel(), ctx.y, len(ids))
     if tied.any():
         variances[tied] = tied_variances(index, ctx.rows[tied], kth, ctx.k, ctx.y, ctx.workers)
     return float(variances.mean())

@@ -24,10 +24,10 @@ O(b·n) for the one block in flight, next to the index's O(n·q). A row is flagg
 its (k+1)-th distance is within ``TIE_REL_EPS`` of its k-th or within the
 products' rounding bound of it, so an untied row's ids are exactly its k
 nearest. Membership of tied rows is decided on exact sums of squared
-differences on both backends, and untied ids are ordered by exact squared
-distance, then id, so results do not depend on the backend's arithmetic,
-except with k >= 3 in the last bits of a row whose gap lies within the
-rounding bound.
+differences on both backends. Every set, tied or not, is held in ascending
+row id and valued by one reduction, :func:`set_variances`, so results do
+not depend on the backend, the tree's shape, the BLAS thread count or the
+path that found a set.
 """
 
 import itertools
@@ -53,8 +53,8 @@ TIE_BLOCK_FLOATS = 1 << 20
 # benchmark kind as build + query, over leaf sizes 16-128 with either split,
 # sliding midpoint with 24- to 48-point leaves took about 20% less summed
 # time than scipy's default (median, 16-point leaves); no size beat 48 by
-# more than 3% (CHANGES.md has the table). Queries are exact, so neither
-# choice changes a result.
+# more than 3% (CHANGES.md has the table). Queries are exact and their ids
+# are sorted by row id, so neither choice changes a result.
 LEAF_SIZE = 48
 
 # Subspaces with at least this many encoded columns take the dense backend.
@@ -155,13 +155,11 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     """Within-kth sets for many query rows at once.
 
     Returns ``(ids, tied, kth)``. ``ids`` is a ``(len(rows), k)`` array of
-    neighbor row ids, valid wherever the boolean mask ``tied`` is False:
-    those rows have no distance tie at the k-th value and are resolved
-    entirely inside the vectorized k-nearest query. Ids at equal distances
-    are ordered by row id, so sums over a row's ids do not depend on the
-    shape of the tree; the dense backend orders them by exact squared
-    distance, then id. ``kth`` holds the k-th neighbor distance of each
-    tied row as the backend computed it, in the order of ``rows[tied]``;
+    neighbor row ids, ascending in each row, valid wherever the boolean
+    mask ``tied`` is False: those rows have no distance tie at the k-th
+    value and are resolved entirely inside the vectorized k-nearest query.
+    ``kth`` holds the k-th neighbor distance of each tied row as the
+    backend computed it, in the order of ``rows[tied]``;
     :func:`tied_variances` resolves the tied rows from it. ``workers``
     threads run the tree's queries; the dense backend's product uses the
     BLAS library's threads instead.
@@ -175,17 +173,13 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
         ids = np.broadcast_to(np.arange(n, dtype=np.intp), (len(rows), n))
         return ids, np.zeros(len(rows), dtype=bool), np.empty(0)
     if index.tree is None:
-        return _dense_query(index, rows, k)
-    queries = index.points[rows]
-    dists, ids = index.tree.query(queries, k=k + 1, workers=workers)
-    dk = dists[:, k - 1]
-    tied = dists[:, k] <= dk * (1.0 + TIE_REL_EPS)
-    ids, dists = ids[:, :k], dists[:, :k]
-    # the tree returns equal distances in the order its traversal met them
-    even = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
-    if even.any():
-        ids[even] = np.take_along_axis(ids[even], np.lexsort((ids[even], dists[even])), axis=1)
-    return ids, tied, dk[tied]
+        ids, tied, kth = _dense_query(index, rows, k)
+    else:
+        dists, ids = index.tree.query(index.points[rows], k=k + 1, workers=workers)
+        dk = dists[:, k - 1]
+        tied = dists[:, k] <= dk * (1.0 + TIE_REL_EPS)
+        ids, kth = ids[:, :k], dk[tied]
+    return np.sort(ids, axis=1), tied, kth
 
 
 def _shifted_d2(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
@@ -204,13 +198,13 @@ def _rounding_bound(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
     """Per query row, a bound on |product distance − exact squared distance|.
 
     The exact squared distance is the plain sum of squared coordinate
-    differences, the arithmetic of the tie refilter and of the id order.
+    differences, the arithmetic of the tie refilter.
     With S = ‖a‖² + ‖b‖² over the centered points, centering, the norms, the
     product, the final sums and the exact sum of squares together round by
     at most about (4q + 13)·2^-53·S. The bound doubles that, with S taken
     at the largest norm; the ``tiny`` term covers underflow.
     """
-    q = index.points.shape[1]
+    q = index.centered.shape[1]
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     return (4 * q + 13) * (eps * (index.norms[rows] + index.norms.max()) + tiny)
 
@@ -230,10 +224,10 @@ def _smallest(h: np.ndarray, k: int):
 
 
 def _dense_block(index: NeighborIndex, block: np.ndarray, k: int):
-    """k nearest rows of each row of ``block`` by product distance, self first.
+    """k nearest rows of each row of ``block`` by product distance.
 
-    Returns ``(ids, lo, hi)``: the ids sorted by exact squared distance,
-    then by id, and the k-th and (k+1)-th smallest product distances.
+    Returns ``(ids, lo, hi)``: the ids, the query row first, and the k-th
+    and (k+1)-th smallest product distances.
     """
     h = _shifted_d2(index, block)
     h[np.arange(len(block)), block] = np.inf
@@ -242,10 +236,6 @@ def _dense_block(index: NeighborIndex, block: np.ndarray, k: int):
     vals += index.norms[block][:, None]
     np.maximum(vals, 0.0, out=vals)
     ids = np.concatenate([block[:, None], cols[:, :k - 1]], axis=1)
-    diff = index.points[ids]
-    diff -= index.points[block][:, None]
-    d2 = np.square(diff, out=diff).sum(axis=2)
-    ids = np.take_along_axis(ids, np.lexsort((ids, d2)), axis=1)
     lo = vals[:, k - 2] if k > 1 else np.zeros(len(block))
     return ids, lo, vals[:, k - 1]
 
@@ -261,13 +251,12 @@ def _dense_query(index: NeighborIndex, rows: np.ndarray, k: int):
     matrix product is parallel, on the BLAS library's threads: blocks spread
     over worker threads made each product wait for the other threads' BLAS
     calls, and ran 3 to 6 times slower with two BLAS threads. A block holds
-    its b·n product distances, b·k·q gathered coordinates and a few b×k
-    arrays: at most
-    16·b·(n + k·q) + 48·b·k bytes, where b·(n + k·q) <=
+    its b·n product distances, its b·q scaled query points and a few b×k
+    arrays: at most 16·b·(n + k·q) + 48·b·k bytes, where b·(n + k·q) <=
     max(DENSE_BLOCK_FLOATS, n + k·q). The results add O(m·k) for m rows,
     and the index holds 16·n·q + 8·n bytes.
     """
-    n, q = index.points.shape
+    n, q = index.centered.shape
     ids, lo, hi = np.empty((len(rows), k), dtype=np.intp), np.empty(len(rows)), np.empty(len(rows))
     step = max(1, DENSE_BLOCK_FLOATS // (n + k * q))
     for start in range(0, len(rows), step):
@@ -363,8 +352,17 @@ def tied_variances(index: NeighborIndex, rows: np.ndarray, kth: np.ndarray, k: i
     reps = order[head]
     out = np.empty(len(reps))
     for pos, seg, ids in _tie_blocks(index, rows[reps], kth[reps], k, workers):
-        counts = np.bincount(seg, minlength=len(pos))
-        members = values[ids]
-        means = np.bincount(seg, members, len(pos)) / counts
-        out[pos] = np.bincount(seg, (members - means[seg]) ** 2, len(pos)) / (counts - 1)
+        out[pos] = set_variances(seg, ids, values, len(pos))
     return out[group]
+
+
+def set_variances(seg: np.ndarray, ids: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Sample variances (ddof=1) of ``values`` over m sets of at least two rows.
+
+    Row ``ids[i]`` belongs to set ``seg[i]``. ``bincount`` sums each set in
+    the order of its rows, which every caller gives in ascending row id.
+    """
+    counts = np.bincount(seg, minlength=m)
+    members = values[ids]
+    means = np.bincount(seg, members, m) / counts
+    return np.bincount(seg, (members - means[seg]) ** 2, m) / (counts - 1)

@@ -107,9 +107,6 @@ class Replication:
     tpr: float
     fpr: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
@@ -193,7 +190,7 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     f = BENCHMARKS[function]
     if p < f.min_dim:
         raise ValueError(f"{function} needs p >= {f.min_dim}, got {p}")
-    EstimatorConfig(n_inner=n_inner)  # rejects n_inner < 2
+    seed = EstimatorConfig(n_inner=n_inner, seed=seed).seed  # rejects n_inner < 2 and a non-integer seed
     k = n_inner or (DEFAULT_N_INNER_BINARY if binary else DEFAULT_N_INNER_REGRESSION)
     if n < max(k, 2):
         raise ValueError(f"need at least {max(k, 2)} rows, got {n}")

@@ -1,5 +1,6 @@
 """Estimator tests: hand-checked values, Monte Carlo checks, invariances."""
 
+import json
 import re
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestConfig:
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
             EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), np.bool_(True), "3"])
+    def test_non_integer_seed_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {value!r}")):
+            EstimatorConfig(seed=value)
+
+    def test_numpy_integer_seed_matches_python_int(self, rng):
+        x = rng.uniform(size=(300, 4))
+        m, y = encoded(x, x[:, 0] + x[:, 1] * x[:, 2] + 0.1 * rng.standard_normal(300))
+        cfg = EstimatorConfig(n_outer=100, seed=np.int64(3))
+        assert type(cfg.seed) is int and cfg == EstimatorConfig(n_outer=100, seed=3)
+        got = first_select(m, y, cfg).to_dict()
+        assert got == first_select(m, y, EstimatorConfig(n_outer=100, seed=3)).to_dict()
+        assert json.loads(json.dumps(got)) == got
+        assert derive_seed(np.uint32(7), 1) == derive_seed(7, 1)
+        assert derive_seed(np.int64(-1), 0) == derive_seed(-1, 0)
+        with pytest.raises(TypeError):
+            derive_seed(7.0, 1)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = EstimatorConfig(n_inner=np.int64(3), n_outer=np.int32(40))

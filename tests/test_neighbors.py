@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from scipy.spatial import cKDTree
 
 from first import neighbors
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
-from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
+from first.estimators import (
+    EstimatorConfig,
+    _subspace_effect,
+    conditional_variance_effect,
+    nanne,
+    prepare,
+    total_variance,
+)
 from first.neighbors import (
     DENSE_BLOCK_FLOATS,
     DENSE_MIN_COLUMNS,
@@ -419,10 +427,7 @@ class TestDenseBackend:
                                 [conditional_variance_effect(m, y, s, cfg) for s in subsets])
         (tree_sets, tree_effects), (dense_sets, dense_effects) = results["tree"], results["dense"]
         assert dense_sets == tree_sets
-        if k == 2:
-            assert dense_effects == tree_effects
-        else:
-            assert dense_effects == pytest.approx(tree_effects, rel=1e-12)
+        assert dense_effects == tree_effects
 
     def test_many_level_effect_matches_brute_force(self):
         ds = many_level_dataset(60, seed=2)
@@ -463,7 +468,7 @@ class TestDenseBackend:
             "m, y = encoded(x, x[:, 0] * x[:, 1] + rng.standard_normal(1500))\n"
             "w, wy = encoded(mixed_points(600, 14, rng), rng.standard_normal(600), standardize=False)\n"
             "for mat, resp in ((m, y), (w, wy)):\n"
-            "    for k in (2, 3):\n"
+            "    for k in (2, 3, 5):\n"
             "        r = nanne(mat, resp, EstimatorConfig(n_inner=k))\n"
             "        print(r.s_tot.tobytes().hex(), r.noise_var.hex())\n"
         )
@@ -475,7 +480,30 @@ class TestDenseBackend:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 6
+
+
+class TestPathParity:
+    """A set's variance does not depend on which path found the set."""
+
+    @pytest.mark.parametrize("backend", ["tree", "dense"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_untied_rows_match_the_tie_path(self, backend, k, monkeypatch):
+        on_backend(monkeypatch, backend)
+        rng = np.random.default_rng(21)
+        n = 150
+        m, y = encoded(mixed_points(n, 3, rng), rng.standard_normal(n), standardize=False)
+        ctx = prepare(m, y, EstimatorConfig(n_inner=k))
+        index = build_index(m, range(3))
+        assert (index.tree is None) == (backend == "dense")
+        _, tied, _ = query_within_batch(index, ctx.rows, k, workers=1)
+        free = ctx.rows[~tied]
+        assert tied.any() and len(free) > n // 2
+        d2 = ((index.points[free][:, None, :] - index.points[None, :, :]) ** 2).sum(axis=2)
+        kth = np.sqrt(np.sort(d2, axis=1)[:, k - 1])
+        want = tied_variances(index, free, kth, k, y, 1)
+        got = [_subspace_effect(replace(ctx, rows=free[i:i + 1]), range(3)) for i in range(len(free))]
+        np.testing.assert_array_equal(got, want)
 
 
 def test_worker_count_env(monkeypatch):

@@ -167,6 +167,8 @@ class TestRunBenchmark:
         (dict(n=2, binary=True), "need at least 3 rows, got 2"),
         (dict(noise_sd=float("nan")), "noise_sd must be finite and non-negative"),
         (dict(noise_sd=-1.0), "noise_sd must be finite and non-negative"),
+        (dict(seed=4.0), "seed must be an integer, got 4.0"),
+        (dict(seed=True), "seed must be an integer, got True"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)
@@ -174,6 +176,18 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=message):
             run_benchmark(**{**kwargs, **bad})
         assert _cached_restricted.cache_info().misses == 0
+
+    def test_numpy_seed_matches_python_int(self):
+        kwargs = dict(function="ishigami", p=3, rho=0.0, n=200, reps=2, method="first_fast",
+                      groundtruth_n_outer=5000)
+        payloads = []
+        for seed in (np.int64(4), 4):
+            d = json.loads(json.dumps(run_benchmark(**kwargs, seed=seed).to_dict()))
+            for rep in d["replications"]:
+                rep.pop("runtime_s")
+            d["aggregates"].pop("mean_runtime_s")
+            payloads.append(d)
+        assert payloads[0] == payloads[1] and payloads[0]["seed"] == 4
 
     def test_binary_reports_selection_metrics_only(self):
         r = run_benchmark("ishigami", p=4, rho=0.0, n=300, reps=2, method="first_fast",
