@@ -15,7 +15,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import EncodedMatrix
-from .neighbors import build_index, query_within_batch, set_variances, tied_variances, worker_count
+from .neighbors import (
+    build_index,
+    distinct_points,
+    query_within_batch,
+    set_variances,
+    shared_lists,
+    tied_variances,
+    worker_count,
+)
 
 #: Inner-loop neighbor counts used when none is requested explicitly.
 DEFAULT_N_INNER_REGRESSION = 2
@@ -180,24 +188,47 @@ def prepare(matrix, y, cfg: EstimatorConfig) -> EffectContext:
                          workers=worker_count(), total=total_variance(y))
 
 
-def _subspace_effect(ctx: EffectContext, factors) -> float:
+def _subspace_effect(ctx: EffectContext, factors, settled=None) -> float:
     """Mean within-kth neighbor variance of y over the context's outer rows.
 
     ``factors`` defines the conditioning subspace. An empty subset is the
     degenerate limit in which every row ties at distance zero, so each
     neighbor set is the whole sample and the effect equals the total
     variance. A constant response has zero effect in every subspace.
+    ``settled`` is ``(mask, ids)`` from :meth:`NeighborLists.settle`: the
+    outer rows whose k ids a forward step's lists already gave. Only the
+    other rows are queried, on an index built only when there are any.
     """
     if not factors:
         return ctx.total
     if ctx.total == 0.0:
         return 0.0
-    index = build_index(ctx.matrix, factors)
-    ids, tied, kth = query_within_batch(index, ctx.rows, ctx.k, workers=ctx.workers)
-    variances = set_variances(np.repeat(np.arange(len(ids)), ctx.k), ids.ravel(), ctx.y, len(ids))
+    n, k = len(ctx.rows), ctx.k
+    ids, tied = np.empty((n, k), dtype=np.intp), np.zeros(n, dtype=bool)
+    todo = slice(None)
+    if settled is not None:
+        todo = ~settled[0]
+        ids[settled[0]] = settled[1]
+    rows = ctx.rows[todo]
+    if len(rows):
+        index = build_index(ctx.matrix, factors)
+        ids[todo], tied[todo], kth = query_within_batch(index, rows, k, workers=ctx.workers)
+    variances = set_variances(np.repeat(np.arange(n), k), ids.ravel(), ctx.y, n)
     if tied.any():
-        variances[tied] = tied_variances(index, ctx.rows[tied], kth, ctx.k, ctx.y, ctx.workers)
+        variances[tied] = tied_variances(index, ctx.rows[tied], kth, k, ctx.y, ctx.workers)
     return float(variances.mean())
+
+
+def step_lists(ctx: EffectContext, active, candidates):
+    """Neighbor lists in ``active`` shared by a forward step's candidates.
+
+    Builds the index of ``active`` and returns :func:`shared_lists` of the
+    outer rows, or None for an empty ``active``, a constant response or
+    duplicate points in ``active``.
+    """
+    if not active or ctx.total == 0.0 or not distinct_points(ctx.matrix, active):
+        return None
+    return shared_lists(build_index(ctx.matrix, active), ctx.matrix, ctx.rows, candidates, ctx.k, ctx.workers)
 
 
 def conditional_variance_effect(matrix, y, conditioning_factors, cfg: EstimatorConfig) -> float:

@@ -196,6 +196,8 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
         raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
+    if groundtruth_n_outer < 2:
+        raise ValueError(f"groundtruth_n_outer must be at least 2, got {groundtruth_n_outer}")
     truth = None
     if not binary:
         truth = restricted_groundtruth(function, p, rho, n_outer=groundtruth_n_outer, seed=seed)

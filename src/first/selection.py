@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _subspace_effect, outer_rows, prepare, subset_scores
+from .estimators import EstimatorConfig, _subspace_effect, outer_rows, prepare, step_lists, subset_scores
 
 ADD = "add"
 ELIMINATE = "eliminate"
@@ -99,9 +99,13 @@ def _candidate_values(ctx, active, candidates):
     """Explainable variance of ``active + [i]`` for every candidate i.
 
     All candidates within one step share the context's outer rows so their
-    values are directly comparable.
+    values are directly comparable. Where the step's neighbor lists pay,
+    they settle most rows of every candidate without an index of its own.
     """
-    return {i: ctx.total - _subspace_effect(ctx, sorted(active + [i])) for i in candidates}
+    lists = step_lists(ctx, active, candidates)
+    return {i: ctx.total - _subspace_effect(ctx, sorted(active + [i]),
+                                            None if lists is None else lists.settle(ctx.matrix, i, ctx.k))
+            for i in candidates}
 
 
 def _forward_select(ctx, cfg, prune: bool):

@@ -206,6 +206,8 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
         raise ValueError(f"factor index {i} out of range 0..{spec.dim - 1}")
     if n_inner < 2:
         raise ValueError("n_inner must be at least 2")
+    if n_outer < 2:
+        raise ValueError(f"n_outer must be at least 2, got {n_outer}")
     rng = np.random.default_rng(seed)
     z = _sample_latent(spec, n_outer, rng)
     x = _latent_to_x(spec, z)
@@ -216,12 +218,13 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
 
     rest, weights, resid_sd = _conditional_coefficients(spec, i)
     cond_mean = z[:, rest] @ weights
+    del z
     inner = np.empty((n_outer, n_inner))
-    x_work = x.copy()
+    # the outer draws are not read again: redraw coordinate i in place
     for j in range(n_inner):
         z_i = cond_mean + resid_sd * rng.standard_normal(n_outer)
-        x_work[:, i] = _to_uniform(z_i, spec.marginals[i])
-        inner[:, j] = _call(f, x_work)
+        x[:, i] = _to_uniform(z_i, spec.marginals[i])
+        inner[:, j] = _call(f, x)
     centered = inner - inner.mean(axis=1, keepdims=True)
     effect = float(((centered ** 2).sum(axis=1) / (n_inner - 1)).mean())
     return effect / var_f
@@ -253,8 +256,12 @@ def _cached_restricted(name: str, rho: float, n_outer: int, n_inner: int, seed: 
     sub = rho ** np.abs(active[:, None] - active[None, :])
     spec = CopulaSpec(correlation=np.asarray(sub, dtype=np.float64), marginals=(UNIFORM,) * len(active))
 
+    # every call of one oracle passes n_outer rows, so one buffer serves
+    # them all: the inert columns stay 0.5, and column-major order gives f
+    # contiguous columns
+    full = np.full((n_outer, f.min_dim), 0.5, order="F")
+
     def embedded(x_sub: np.ndarray) -> np.ndarray:
-        full = np.full((x_sub.shape[0], f.min_dim), 0.5)
         full[:, active] = x_sub
         return evaluate(f, full)
 

@@ -21,21 +21,25 @@ from first.estimators import (
     conditional_variance_effect,
     nanne,
     prepare,
+    step_lists,
     total_variance,
 )
 from first.neighbors import (
     DENSE_BLOCK_FLOATS,
     DENSE_MIN_COLUMNS,
     LEAF_SIZE,
+    LIST_BLOCK_FLOATS,
     TIE_BLOCK_FLOATS,
     NeighborIndex,
     build_index,
+    distinct_points,
+    neighbor_lists,
     query_within_batch,
     tied_variances,
     within_kth,
     worker_count,
 )
-from first.selection import first
+from first.selection import _candidate_values, first
 from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded
 
 
@@ -504,6 +508,100 @@ class TestPathParity:
         want = tied_variances(index, free, kth, k, y, 1)
         got = [_subspace_effect(replace(ctx, rows=free[i:i + 1]), range(3)) for i in range(len(free))]
         np.testing.assert_array_equal(got, want)
+
+
+def grid_points(n, q, rng):
+    """Rows on the 0.1 grid: many duplicates and exact distance ties."""
+    return rng.integers(0, 11, size=(n, q)) / 10
+
+
+class TestSharedLists:
+    """A forward step's shared neighbor lists settle rows exactly."""
+
+    DATA = {"continuous": lambda n, rng: rng.uniform(size=(n, 4)),
+            "grid": lambda n, rng: grid_points(n, 4, rng),
+            "mixed": lambda n, rng: mixed_points(n, 4, rng)}
+
+    @pytest.mark.parametrize("kind", sorted(DATA))
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_settled_rows_match_brute_force(self, kind, k, monkeypatch):
+        # short lists leave rows unsettled on every kind of data
+        monkeypatch.setattr(neighbors, "LIST_LENGTH", 12)
+        rng = np.random.default_rng(31)
+        n = 300
+        m, _ = encoded(self.DATA[kind](n, rng), np.zeros(n), standardize=False)
+        rows = np.arange(n)
+        for active in ([0], [0, 1], [1, 2, 3]):
+            lists = neighbor_lists(build_index(m, active), rows, workers=1)
+            for j in set(range(4)) - set(active):
+                settled, ids = lists.settle(m, j, k)
+                points = build_index(m, active + [j]).points
+                for row, got in zip(rows[settled], ids):
+                    assert list(got) == sorted(brute_within_kth(points, row, k)), (kind, active, j, row)
+                if kind != "grid" and len(active) > 1:
+                    assert 0 < settled.sum() < n, (kind, active, j)
+
+    def test_settle_and_fallback_rows_give_the_same_values(self, monkeypatch):
+        # n=200 with 16-row lists: steps settle some rows of each candidate
+        # and send the rest to the candidate's own index
+        monkeypatch.setattr(neighbors, "LIST_LENGTH", 16)
+        rng = np.random.default_rng(33)
+        n = 200
+        x = rng.uniform(size=(n, 5))
+        m, y = encoded(x, x[:, 0] + x[:, 1] * x[:, 2] + 0.2 * rng.standard_normal(n))
+        settled = 0
+        for k in (2, 3, 5):
+            ctx = prepare(m, y, EstimatorConfig(n_inner=k))
+            for active in ([0], [0, 1], [0, 1, 2]):
+                pool = [j for j in range(5) if j not in active]
+                monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+                lists = step_lists(ctx, active, pool)
+                settled += sum(lists.settle(m, j, k)[0].sum() for j in pool)
+                forced = _candidate_values(ctx, active, pool)
+                monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", np.inf)
+                assert step_lists(ctx, active, pool) is None
+                assert forced == _candidate_values(ctx, active, pool)
+                for j in pool:
+                    want = brute_effect(m.values[:, m.columns_for(sorted(active + [j]))], y, k)
+                    assert ctx.total - forced[j] == pytest.approx(want, rel=1e-12)
+        assert 0 < settled < 3 * 12 * n  # 12 candidates per k
+
+    def test_lists_need_a_tree_and_distinct_points(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        n = 300
+        x = rng.uniform(size=(n, 3))
+        m, y = encoded(x, x.sum(axis=1) + rng.standard_normal(n))
+        ctx = prepare(m, y, EstimatorConfig())
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+        assert distinct_points(m, [0, 1]) and step_lists(ctx, [0, 1], [2]) is not None
+        on_backend(monkeypatch, "dense")
+        assert step_lists(ctx, [0, 1], [2]) is None
+        on_backend(monkeypatch, "tree")
+        g, gy = encoded(grid_points(n, 3, rng), y, standardize=False)
+        assert not distinct_points(g, [0, 1])
+        assert step_lists(prepare(g, gy, EstimatorConfig()), [0, 1], [2]) is None
+
+    def test_memory_bound(self, monkeypatch):
+        # the bound in the NeighborLists docstring: the lists, one
+        # candidate's settled ids and mask, and one block in flight
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+        rng = np.random.default_rng(37)
+        n, k, m_len = 8000, 2, neighbors.LIST_LENGTH
+        x = rng.uniform(size=(n, 4))
+        m, y = encoded(x, x[:, 0] * x[:, 1] + rng.standard_normal(n))
+        ctx = prepare(m, y, EstimatorConfig(n_inner=k))
+        assert m_len * n > 8 * LIST_BLOCK_FLOATS  # many blocks
+        tracemalloc.start()
+        try:
+            lists = step_lists(ctx, [0, 1], [2, 3])
+            settled = lists.settle(m, 2, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert settled[0].any()
+        index_bytes = 8 * n * 2
+        bound = (16 * m_len + 8) * n + (24 * k + 1) * n + 32 * LIST_BLOCK_FLOATS + index_bytes
+        assert peak < bound + (1 << 16), (peak, bound)
 
 
 def test_worker_count_env(monkeypatch):

@@ -169,6 +169,8 @@ class TestRunBenchmark:
         (dict(noise_sd=-1.0), "noise_sd must be finite and non-negative"),
         (dict(seed=4.0), "seed must be an integer, got 4.0"),
         (dict(seed=True), "seed must be an integer, got True"),
+        (dict(groundtruth_n_outer=1), "groundtruth_n_outer must be at least 2, got 1"),
+        (dict(groundtruth_n_outer=0), "groundtruth_n_outer must be at least 2, got 0"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)

@@ -1,13 +1,17 @@
 """Selection pipeline tests: backward elimination, forward selection, traces."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
+from first import estimators, neighbors
 from first.dataset import encode
 from first.estimators import EstimatorConfig, nanne
 from first.selection import ADD, ELIMINATE, PRUNE, first, first_fast, nanne_be
-from first.synthetic import BENCHMARKS, CopulaSpec, generate_regression
-from tests.conftest import encoded
+from first.synthetic import BENCHMARKS, CopulaSpec, generate_binary, generate_regression
+from tests.conftest import categorical_grid_dataset, encoded
 
 CFG = EstimatorConfig(n_inner=2, seed=3)
 
@@ -237,3 +241,62 @@ class TestTraceSerialization:
         np.testing.assert_array_equal(trace.importance, 0.0)
         res = nanne(m, np.full(50, 3.3), CFG)
         assert res.signal_var == 0.0
+
+
+def parity_dataset(kind, n=300, seed=41):
+    """A small dataset of one kind for the shared-list parity checks."""
+    if kind == "binary":
+        return generate_binary(CopulaSpec.ar1(6, 0.3), BENCHMARKS["ishigami"], n, seed)
+    if kind == "categorical":
+        return categorical_grid_dataset(n, seed)
+    f = BENCHMARKS[kind]
+    return generate_regression(CopulaSpec.ar1(f.min_dim + 2, 0.5), f, 1.0, n, seed)
+
+
+def list_traces(matrix, y, cfg, monkeypatch, share):
+    """``first`` and ``first_fast`` traces with the step lists' share threshold at ``share``."""
+    monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", share)
+    return [select(matrix, y, cfg).to_dict() for select in (first, first_fast)]
+
+
+class TestSharedListParity:
+    """Traces are the same with a step's shared neighbor lists off, on where
+    they pay, or on wherever they can be used."""
+
+    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
+    @pytest.mark.parametrize("kind", ["friedman", "ishigami", "heavy_tailed", "binary", "categorical"])
+    def test_traces_match_without_lists(self, kind, standardize, monkeypatch):
+        ds = parity_dataset(kind)
+        m = encode(ds, standardize=standardize)
+        used = []
+        shared = estimators.shared_lists
+
+        def spy(*args):
+            lists = shared(*args)
+            used.append(lists is not None)
+            return lists
+
+        monkeypatch.setattr(estimators, "shared_lists", spy)
+        default = neighbors.SETTLED_MIN_SHARE
+        for k, n_outer in itertools.product((2, 3, 5), ("all", 150)):
+            cfg = EstimatorConfig(n_inner=k, n_outer=n_outer, seed=7)
+            off = list_traces(m, ds.response, cfg, monkeypatch, np.inf)
+            used.clear()
+            assert list_traces(m, ds.response, cfg, monkeypatch, default) == off, (k, n_outer)
+            assert list_traces(m, ds.response, cfg, monkeypatch, 0.0) == off, (k, n_outer)
+            # categorical steps hold duplicate points, so they never use lists
+            assert any(used) == (kind != "categorical"), (k, n_outer)
+
+    @pytest.mark.parametrize("dense_min", [sys.maxsize, 3, 1], ids=["tree", "mixed", "dense"])
+    def test_worker_counts_and_backends(self, dense_min, monkeypatch):
+        # criterion 10 with the lists forced on; at "mixed" the lists' tree
+        # of a narrow step feeds unsettled rows to dense candidate indexes
+        monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", dense_min)
+        ds = parity_dataset("friedman", n=400)
+        m = encode(ds)
+        cfg = EstimatorConfig(n_inner=2, n_outer=300, seed=42)
+        traces = []
+        for workers in ("1", "4", "8"):
+            monkeypatch.setenv("FIRST_THREADS", workers)
+            traces += [list_traces(m, ds.response, cfg, monkeypatch, share) for share in (np.inf, 0.0)]
+        assert all(t == traces[0] for t in traces[1:])

@@ -176,6 +176,15 @@ class TestDoubleMcOracle:
         inert = [i for i in range(20) if i not in active]
         np.testing.assert_array_equal(truth[inert], 0.0)
 
+    def test_oracle_rejects_fewer_than_two_outer_draws(self):
+        # one outer draw has no variance of f to normalize by
+        spec = CopulaSpec.ar1(10, 0.5)
+        for n_outer in (0, 1):
+            with pytest.raises(ValueError, match=f"n_outer must be at least 2, got {n_outer}"):
+                double_mc_total_sobol(spec, BENCHMARKS["friedman"], 0, n_outer, 2, seed=1)
+            with pytest.raises(ValueError, match=f"n_outer must be at least 2, got {n_outer}"):
+                restricted_groundtruth("friedman", 10, 0.5, n_outer=n_outer)
+
     def test_restricted_groundtruth_rejects_rho_outside_unit_interval(self):
         for rho in (-0.5, 1.0):
             with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
