@@ -25,8 +25,9 @@ from .estimators import (
     explainable_variance,
     nanne,
     total_variance,
+    worker_count,
 )
-from .neighbors import NeighborIndex, build_index, within_kth, worker_count
+from .neighbors import NeighborIndex, build_index, within_kth
 from .report import (
     BenchmarkReport,
     Replication,

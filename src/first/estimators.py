@@ -9,8 +9,9 @@ total Sobol' indices without fitting any model.
 """
 
 import operator
+import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .neighbors import (
     set_variances,
     shared_lists,
     tied_variances,
-    worker_count,
 )
 
 #: Inner-loop neighbor counts used when none is requested explicitly.
@@ -64,28 +64,46 @@ class EstimatorConfig:
 
     def resolve_n_inner(self, y: np.ndarray) -> int:
         """Effective inner neighbor count for the given response."""
+        return self.inner_count(bool(np.isin(y, (0.0, 1.0)).all()))
+
+    def inner_count(self, binary: bool) -> int:
+        """``n_inner`` if set, else 3 for a binary (0/1) response and 2 otherwise."""
         if self.n_inner is not None:
             return self.n_inner
-        binary = bool(np.isin(y, (0.0, 1.0)).all())
         return DEFAULT_N_INNER_BINARY if binary else DEFAULT_N_INNER_REGRESSION
 
-    def with_step_seed(self, step: int) -> "EstimatorConfig":
-        """Derived config whose subsample seed is unique to a selection step.
 
-        A no-op when all rows serve as outer points, since no randomness is
-        consumed in that case.
-        """
-        if self.n_outer == "all":
-            return self
-        return replace(self, seed=derive_seed(self.seed, step))
+def check_integer(name: str, value) -> int:
+    """``value`` as an ``int``; a float, a bool or another non-integer raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _set_integer(cfg: EstimatorConfig, name: str) -> None:
-    """Reject a non-integer or bool field; store a numpy integer as ``int``."""
-    value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(cfg, name, int(value))
+    """Check an integer field; store a numpy integer as ``int``."""
+    object.__setattr__(cfg, name, check_integer(name, getattr(cfg, name)))
+
+
+def check_rows(n: int, k: int) -> None:
+    """Reject a sample too small for ``k`` inner neighbors and a variance."""
+    if n < max(k, 2):
+        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
+
+
+def worker_count() -> int:
+    """Number of worker threads/processes to use.
+
+    Controlled by the FIRST_THREADS environment variable; defaults to the
+    machine's CPU count. Results are invariant to this value.
+    """
+    raw = os.environ.get("FIRST_THREADS", "").strip()
+    if raw:
+        n = int(raw) if raw.isdecimal() else 0
+        if n < 1:
+            raise ValueError(f"FIRST_THREADS must be a positive integer, got {raw!r}")
+        return n
+    return os.cpu_count() or 1
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -145,13 +163,18 @@ def total_variance(y) -> float:
     return float(np.var(y, ddof=1))
 
 
-def outer_rows(cfg: EstimatorConfig, n: int) -> np.ndarray:
-    """Outer-loop row indices: all rows, or a seeded subsample in sorted order."""
+def outer_rows(cfg: EstimatorConfig, n: int, step: int | None = None) -> np.ndarray:
+    """Outer-loop row indices: all rows, or a seeded subsample in sorted order.
+
+    Forward-selection step ``step`` draws its own subsample, from
+    ``derive_seed(cfg.seed, step)``; all rows ignore the step.
+    """
     if cfg.n_outer == "all":
         return np.arange(n, dtype=np.intp)
     if cfg.n_outer > n:
         raise ValueError(f"n_outer={cfg.n_outer} exceeds the number of rows ({n})")
-    rng = np.random.default_rng(cfg.seed & _SEED_MASK)
+    seed = cfg.seed if step is None else derive_seed(cfg.seed, step)
+    rng = np.random.default_rng(seed & _SEED_MASK)
     picks = rng.choice(n, size=cfg.n_outer, replace=False)
     return np.sort(picks.astype(np.intp))
 
@@ -182,8 +205,7 @@ def prepare(matrix, y, cfg: EstimatorConfig) -> EffectContext:
     if not np.isfinite(y).all():
         raise ValueError("response contains non-finite values")
     k = cfg.resolve_n_inner(y)
-    if n < max(k, 2):
-        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
+    check_rows(n, k)
     return EffectContext(matrix=matrix, y=y, k=k, rows=outer_rows(cfg, n),
                          workers=worker_count(), total=total_variance(y))
 

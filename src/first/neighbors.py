@@ -42,7 +42,6 @@ enough of a sample of rows.
 """
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +94,6 @@ SHARE_SAMPLE = 64
 
 # List entries handled at once while querying and settling (8 bytes each).
 LIST_BLOCK_FLOATS = 1 << 14
-
-
-def worker_count() -> int:
-    """Number of worker threads/processes to use.
-
-    Controlled by the FIRST_THREADS environment variable; defaults to the
-    machine's CPU count. Results are invariant to this value.
-    """
-    raw = os.environ.get("FIRST_THREADS", "").strip()
-    if raw:
-        n = int(raw) if raw.isdecimal() else 0
-        if n < 1:
-            raise ValueError(f"FIRST_THREADS must be a positive integer, got {raw!r}")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +163,7 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
     return [int(i) for i in ids[order]]
 
 
-def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: int | None = None):
+def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: int):
     """Within-kth sets for many query rows at once.
 
     Returns ``(ids, tied, kth)``. ``ids`` is a ``(len(rows), k)`` array of
@@ -195,7 +179,6 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     n = index.n_rows
     if k > n:
         raise ValueError(f"k must be at most the number of rows ({n}), got {k}")
-    workers = workers or worker_count()
     rows = np.asarray(rows, dtype=np.intp)
     if k == n:
         ids = np.broadcast_to(np.arange(n, dtype=np.intp), (len(rows), n))

@@ -15,13 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import encode
-from .estimators import (
-    DEFAULT_N_INNER_BINARY,
-    DEFAULT_N_INNER_REGRESSION,
-    EstimatorConfig,
-    derive_seed,
-)
-from .neighbors import worker_count
+from .estimators import EstimatorConfig, check_integer, check_rows, derive_seed, worker_count
 from .selection import first, first_fast
 from .synthetic import (
     BENCHMARKS,
@@ -45,15 +39,6 @@ def kendall_tau_b(truth, estimate) -> float:
     sum is normalized by the geometric mean of the untied pair counts of
     the two vectors. Returns 0 when either vector is entirely tied.
     """
-    t, e = _pair_signs(truth, estimate)
-    n1 = int((t != 0).sum())
-    n2 = int((e != 0).sum())
-    if n1 == 0 or n2 == 0:
-        return 0.0
-    return float((t * e).sum() / np.sqrt(n1 * n2))
-
-
-def _pair_signs(truth, estimate):
     truth = np.asarray(truth, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if truth.shape != estimate.shape or truth.ndim != 1:
@@ -63,7 +48,11 @@ def _pair_signs(truth, estimate):
     iu = np.triu_indices(len(truth), k=1)
     t = np.sign(truth[:, None] - truth[None, :])[iu]
     e = np.sign(estimate[:, None] - estimate[None, :])[iu]
-    return t, e
+    n1 = int((t != 0).sum())
+    n2 = int((e != 0).sum())
+    if n1 == 0 or n2 == 0:
+        return 0.0
+    return float((t * e).sum() / np.sqrt(n1 * n2))
 
 
 @dataclass(frozen=True)
@@ -142,9 +131,10 @@ class BenchmarkReport:
         return cls(**kwargs, **d["aggregates"])
 
 
-def _run_replication(args) -> tuple:
-    """Generate one dataset and run selection on it (process-pool entry)."""
-    (name, p, rho, n, rep_seed, method, n_inner, binary, noise_sd) = args
+def _run_replication(cell: tuple, rep: int) -> Replication:
+    """Generate, select and score replication ``rep`` of a cell (process-pool entry)."""
+    name, p, rho, n, seed, method, n_inner, binary, noise_sd, truth = cell
+    rep_seed = derive_seed(seed, rep)
     f = BENCHMARKS[name]
     spec = CopulaSpec.ar1(p, rho)
     if binary:
@@ -157,7 +147,11 @@ def _run_replication(args) -> tuple:
     start = time.perf_counter()
     trace = select(matrix, ds.response, cfg)
     runtime = time.perf_counter() - start
-    return [float(v) for v in trace.importance], [int(i) for i in trace.final_active], runtime
+    importance, selected = [float(v) for v in trace.importance], list(trace.final_active)
+    metrics = selection_metrics(f.active, selected, p)
+    return Replication(rep=rep, seed=rep_seed, importance=importance, selected=selected, runtime_s=runtime,
+                       tau=None if truth is None else kendall_tau_b(truth, importance),
+                       exact=metrics.exact, tpr=metrics.tpr, fpr=metrics.fpr)
 
 
 def _set_threads(threads: int) -> None:
@@ -167,7 +161,7 @@ def _set_threads(threads: int) -> None:
 
 def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: str,
                   seed: int, binary: bool = False, noise_sd: float = 1.0,
-                  n_inner: int | None = None, groundtruth_n_outer: int = 100_000) -> BenchmarkReport:
+                  n_inner: int | None = None) -> BenchmarkReport:
     """Run ``reps`` generate/select/score replications of one benchmark cell.
 
     For regression cells the groundtruth importance (restricted to the true
@@ -182,6 +176,7 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     """
     if function not in BENCHMARKS:
         raise ValueError(f"unknown benchmark function {function!r}")
+    p, n, reps = check_integer("p", p), check_integer("n", n), check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     if method not in METHODS:
@@ -190,39 +185,22 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     f = BENCHMARKS[function]
     if p < f.min_dim:
         raise ValueError(f"{function} needs p >= {f.min_dim}, got {p}")
-    seed = EstimatorConfig(n_inner=n_inner, seed=seed).seed  # rejects n_inner < 2 and a non-integer seed
-    k = n_inner or (DEFAULT_N_INNER_BINARY if binary else DEFAULT_N_INNER_REGRESSION)
-    if n < max(k, 2):
-        raise ValueError(f"need at least {max(k, 2)} rows, got {n}")
+    cfg = EstimatorConfig(n_inner=n_inner, seed=seed)  # rejects n_inner < 2 and a non-integer seed
+    seed = cfg.seed
+    check_rows(n, cfg.inner_count(binary))
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
-    if groundtruth_n_outer < 2:
-        raise ValueError(f"groundtruth_n_outer must be at least 2, got {groundtruth_n_outer}")
-    truth = None
-    if not binary:
-        truth = restricted_groundtruth(function, p, rho, n_outer=groundtruth_n_outer, seed=seed)
+    truth = None if binary else restricted_groundtruth(function, p, rho, seed=seed)
 
-    tasks = [
-        (function, p, rho, n, derive_seed(seed, rep), method, n_inner, binary, noise_sd)
-        for rep in range(reps)
-    ]
+    cell = (function, p, rho, n, seed, method, n_inner, binary, noise_sd, truth)
     threads = worker_count()
     workers = min(threads, reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                  initargs=(max(1, threads // workers),)) as pool:
-            raw = list(pool.map(_run_replication, tasks))
+            replications = list(pool.map(_run_replication, [cell] * reps, range(reps)))
     else:
-        raw = [_run_replication(t) for t in tasks]
-
-    replications = []
-    for rep, (importance, selected, runtime) in enumerate(raw):
-        metrics = selection_metrics(f.active, selected, p)
-        tau = None if truth is None else kendall_tau_b(truth, importance)
-        replications.append(Replication(
-            rep=rep, seed=tasks[rep][4], importance=importance, selected=selected,
-            runtime_s=runtime, tau=tau, exact=metrics.exact, tpr=metrics.tpr, fpr=metrics.fpr,
-        ))
+        replications = [_run_replication(cell, rep) for rep in range(reps)]
     mean_tau = None if truth is None else float(np.mean([r.tau for r in replications]))
     return BenchmarkReport(
         function=function, p=p, rho=rho, n=n, reps=reps, method=method, seed=seed,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _subspace_effect, outer_rows, prepare, step_lists, subset_scores
+from .estimators import EstimatorConfig, _subspace_effect, derive_seed, outer_rows, prepare, step_lists, subset_scores
 
 ADD = "add"
 ELIMINATE = "eliminate"
@@ -61,10 +61,10 @@ class SelectionTrace:
 def _backward_eliminate(ctx, factors):
     """Iterate noise-adjusted estimation, dropping zero-index factors.
 
-    Returns ``(scores, steps)`` where ``scores`` maps each surviving factor
-    to a strictly positive index; an empty dict means everything was
-    eliminated. Every round either returns or strictly shrinks the active
-    set, so there are at most ``len(factors)`` rounds.
+    Returns ``(importance, steps)``: ``importance`` is a length-``n_factors``
+    vector, strictly positive for the surviving factors and zero elsewhere.
+    Every round either stops or strictly shrinks the active set, so there
+    are at most ``len(factors)`` rounds.
     """
     active = sorted(set(int(f) for f in factors))
     if not active:
@@ -74,10 +74,12 @@ def _backward_eliminate(ctx, factors):
         scores = subset_scores(ctx, active)[0]
         survivors = [i for i in active if scores[i] > 0.0]
         if survivors == active:
-            return scores, steps
+            break
         steps.extend(SelectionStep(ELIMINATE, i, 0.0) for i in active if i not in survivors)
         active = survivors
-    return {}, steps
+    importance = np.zeros(ctx.matrix.n_factors)
+    importance[active] = [scores[i] for i in active]
+    return importance, steps
 
 
 def nanne_be(matrix, y, factors, cfg: EstimatorConfig | None = None) -> np.ndarray:
@@ -88,11 +90,7 @@ def nanne_be(matrix, y, factors, cfg: EstimatorConfig | None = None) -> np.ndarr
     factors outside ``factors``.
     """
     cfg = cfg or EstimatorConfig()
-    scores, _ = _backward_eliminate(prepare(matrix, y, cfg), factors)
-    out = np.zeros(matrix.n_factors)
-    for i, v in scores.items():
-        out[i] = v
-    return out
+    return _backward_eliminate(prepare(matrix, y, cfg), factors)[0]
 
 
 def _candidate_values(ctx, active, candidates):
@@ -115,18 +113,17 @@ def _forward_select(ctx, cfg, prune: bool):
     Ties in the argmax go to the lowest factor index. A candidate is added
     only while it strictly improves on the current explainable variance (in
     the pruning variant, the loop instead runs until the candidate pool is
-    exhausted, which subsumes the same stopping rule). Each step draws its
-    own outer rows from a step-derived seed.
+    exhausted, which subsumes the same stopping rule). Step s scores on
+    ``outer_rows(cfg, n, s)``. Returns ``(active, steps, n_steps)``.
     """
     active: list[int] = []
     v_active = 0.0
     pool = list(range(ctx.matrix.n_factors))
     steps: list[SelectionStep] = []
-    step_seeds: list[int] = []
+    n_steps = 0
     while pool:
-        step_cfg = cfg.with_step_seed(len(step_seeds))
-        step_seeds.append(step_cfg.seed)
-        step_ctx = replace(ctx, rows=outer_rows(step_cfg, ctx.matrix.n_rows))
+        step_ctx = replace(ctx, rows=outer_rows(cfg, ctx.matrix.n_rows, n_steps))
+        n_steps += 1
         values = _candidate_values(step_ctx, active, pool)
         best = min(pool, key=lambda i: (-values[i], i))
         if prune:
@@ -141,30 +138,27 @@ def _forward_select(ctx, cfg, prune: bool):
         pool.remove(best)
         v_active = values[best]
         steps.append(SelectionStep(ADD, best, v_active))
-    return active, steps, step_seeds
+    return active, steps, n_steps
 
 
 def _run_selection(matrix, y, cfg, prune: bool, method: str) -> SelectionTrace:
     ctx = prepare(matrix, y, cfg)
-    active, steps, step_seeds = _forward_select(ctx, cfg, prune)
-    if active:
-        scores, be_steps = _backward_eliminate(ctx, active)
-        steps.extend(be_steps)
-    else:
-        scores = {}
+    active, steps, n_steps = _forward_select(ctx, cfg, prune)
     importance = np.zeros(matrix.n_factors)
-    for i, v in scores.items():
-        importance[i] = v
+    if active:
+        importance, be_steps = _backward_eliminate(ctx, active)
+        steps.extend(be_steps)
     meta = {
         "method": method,
         "n_inner": ctx.k,
         "n_outer": cfg.n_outer,
         "seed": cfg.seed,
-        "forward_step_seeds": step_seeds if cfg.n_outer != "all" else "all-rows",
+        "forward_step_seeds": ("all-rows" if cfg.n_outer == "all"
+                               else [derive_seed(cfg.seed, s) for s in range(n_steps)]),
     }
     return SelectionTrace(
         steps=tuple(steps),
-        final_active=tuple(sorted(scores)),
+        final_active=tuple(np.flatnonzero(importance).tolist()),
         importance=importance,
         meta=meta,
     )

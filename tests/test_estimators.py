@@ -12,6 +12,7 @@ from first.estimators import (
     derive_seed,
     explainable_variance,
     nanne,
+    outer_rows,
     total_variance,
 )
 from first.selection import first as first_select
@@ -264,10 +265,12 @@ class TestConfig:
 
     def test_step_seed_derivation_stable(self):
         cfg = EstimatorConfig(n_inner=2, n_outer=10, seed=123)
-        assert cfg.with_step_seed(0).seed == cfg.with_step_seed(0).seed
-        assert cfg.with_step_seed(0).seed != cfg.with_step_seed(1).seed
-        assert EstimatorConfig(seed=123).with_step_seed(3) == EstimatorConfig(seed=123)
+        np.testing.assert_array_equal(outer_rows(cfg, 100, 0), outer_rows(cfg, 100, 0))
+        assert outer_rows(cfg, 100, 0).tolist() != outer_rows(cfg, 100, 1).tolist()
+        np.testing.assert_array_equal(outer_rows(EstimatorConfig(seed=123), 100, 3), np.arange(100))
         # Derived seeds reach the selection meta and benchmark reports: pin them.
-        assert cfg.with_step_seed(3).seed == derive_seed(123, 3) == 15673771762283591188
+        assert derive_seed(123, 3) == 15673771762283591188
+        step_cfg = EstimatorConfig(n_inner=2, n_outer=10, seed=15673771762283591188)
+        np.testing.assert_array_equal(outer_rows(cfg, 100, 3), outer_rows(step_cfg, 100))
         assert derive_seed(2024, 1) == 7778828159576237216
         assert derive_seed(-1, 0) == 14031750673298188677

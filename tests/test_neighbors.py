@@ -23,6 +23,7 @@ from first.estimators import (
     prepare,
     step_lists,
     total_variance,
+    worker_count,
 )
 from first.neighbors import (
     DENSE_BLOCK_FLOATS,
@@ -37,7 +38,6 @@ from first.neighbors import (
     query_within_batch,
     tied_variances,
     within_kth,
-    worker_count,
 )
 from first.selection import _candidate_values, first
 from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded
@@ -261,10 +261,10 @@ class TestTieResolution:
         m, _ = tie_data
         rows = np.arange(self.N)
         for k in (2, 3):
-            kth = np.concatenate([query_within_batch(build_index(m, s), rows, k)[2] for s in self.SUBSETS])
+            kth = np.concatenate([query_within_batch(build_index(m, s), rows, k, workers=1)[2] for s in self.SUBSETS])
             assert (kth == 0.0).sum() > 1000  # rows sharing a point with at least k-1 others
             assert (kth > 0.0).sum() > 100  # ties at a positive distance
-        assert not query_within_batch(build_index(m, [0, 3]), rows, self.N)[1].any()
+        assert not query_within_batch(build_index(m, [0, 3]), rows, self.N, workers=1)[1].any()
 
     @pytest.mark.parametrize("k", [2, 3, N])
     def test_effect_matches_brute_force(self, tie_data, k):
@@ -379,7 +379,7 @@ class TestDenseBackend:
         m, _ = encoded(x, np.zeros(200), standardize=False)
         index = build_index(m, range(DENSE_MIN_COLUMNS))
         assert index.tree is None
-        _, tied, _ = query_within_batch(index, np.arange(200), 2)
+        _, tied, _ = query_within_batch(index, np.arange(200), 2, workers=1)
         assert not tied.any()
         for row in range(0, 200, 9):
             assert within_kth(index, row, 2) == brute_within_kth(index.points, row, 2)
@@ -453,7 +453,7 @@ class TestDenseBackend:
         assert b < n  # several blocks
         tracemalloc.start()
         try:
-            query_within_batch(index, rows, k)
+            query_within_batch(index, rows, k, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

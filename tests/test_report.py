@@ -94,8 +94,7 @@ class TestSelectionMetrics:
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_benchmark("ishigami", p=4, rho=0.0, n=400, reps=3, method="first",
-                         seed=99, groundtruth_n_outer=20_000)
+    return run_benchmark("ishigami", p=4, rho=0.0, n=400, reps=3, method="first", seed=99)
 
 
 class TestRunBenchmark:
@@ -126,7 +125,7 @@ class TestRunBenchmark:
 
     def test_worker_count_invariance(self, monkeypatch):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=300, reps=2,
-                      method="first", seed=5, groundtruth_n_outer=5000)
+                      method="first", seed=5)
         monkeypatch.setenv("FIRST_THREADS", "1")
         serial = run_benchmark(**kwargs)
         monkeypatch.setenv("FIRST_THREADS", "2")
@@ -148,7 +147,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr("first.report.ProcessPoolExecutor", RecordingPool)
         kwargs = dict(function="friedman", p=10, rho=0.5, n=300, reps=2,
-                      method="first", seed=9, groundtruth_n_outer=5000)
+                      method="first", seed=9)
         payloads = []
         for threads in ("1", "4"):
             monkeypatch.setenv("FIRST_THREADS", threads)
@@ -169,8 +168,10 @@ class TestRunBenchmark:
         (dict(noise_sd=-1.0), "noise_sd must be finite and non-negative"),
         (dict(seed=4.0), "seed must be an integer, got 4.0"),
         (dict(seed=True), "seed must be an integer, got True"),
-        (dict(groundtruth_n_outer=1), "groundtruth_n_outer must be at least 2, got 1"),
-        (dict(groundtruth_n_outer=0), "groundtruth_n_outer must be at least 2, got 0"),
+        (dict(p=10.0), "p must be an integer, got 10.0"),
+        (dict(n=200.0), "n must be an integer, got 200.0"),
+        (dict(reps=2.0), "reps must be an integer, got 2.0"),
+        (dict(reps=True), "reps must be an integer, got True"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)
@@ -180,11 +181,10 @@ class TestRunBenchmark:
         assert _cached_restricted.cache_info().misses == 0
 
     def test_numpy_seed_matches_python_int(self):
-        kwargs = dict(function="ishigami", p=3, rho=0.0, n=200, reps=2, method="first_fast",
-                      groundtruth_n_outer=5000)
         payloads = []
-        for seed in (np.int64(4), 4):
-            d = json.loads(json.dumps(run_benchmark(**kwargs, seed=seed).to_dict()))
+        for cast in (np.int64, int):
+            d = json.loads(json.dumps(run_benchmark("ishigami", p=cast(3), rho=0.0, n=cast(200), reps=cast(2),
+                                                    method="first_fast", seed=cast(4)).to_dict()))
             for rep in d["replications"]:
                 rep.pop("runtime_s")
             d["aggregates"].pop("mean_runtime_s")

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from first import estimators, neighbors
+from first import estimators, neighbors, selection
 from first.dataset import encode
-from first.estimators import EstimatorConfig, nanne
+from first.estimators import EstimatorConfig, derive_seed, nanne, outer_rows
 from first.selection import ADD, ELIMINATE, PRUNE, first, first_fast, nanne_be
 from first.synthetic import BENCHMARKS, CopulaSpec, generate_binary, generate_regression
 from tests.conftest import categorical_grid_dataset, encoded
@@ -241,6 +241,28 @@ class TestTraceSerialization:
         np.testing.assert_array_equal(trace.importance, 0.0)
         res = nanne(m, np.full(50, 3.3), CFG)
         assert res.signal_var == 0.0
+
+
+class TestForwardStepSeeds:
+    @pytest.mark.parametrize("select", [first, first_fast])
+    def test_each_step_scores_its_own_rows(self, select, monkeypatch):
+        ds = generate_regression(CopulaSpec.ar1(6, 0.3), BENCHMARKS["ishigami"], 1.0, 400, 2)
+        m = encode(ds)
+        cfg = EstimatorConfig(n_outer=150, seed=11)
+        scored = []
+        original = selection._candidate_values
+
+        def spy(ctx, active, candidates):
+            scored.append(ctx.rows.copy())
+            return original(ctx, active, candidates)
+
+        monkeypatch.setattr(selection, "_candidate_values", spy)
+        seeds = select(m, ds.response, cfg).meta["forward_step_seeds"]
+        assert len(seeds) == len(scored) >= 3
+        for s, rows in enumerate(scored):
+            assert seeds[s] == derive_seed(11, s)
+            np.testing.assert_array_equal(rows, outer_rows(cfg, m.n_rows, s))
+        assert select(m, ds.response, EstimatorConfig()).meta["forward_step_seeds"] == "all-rows"
 
 
 def parity_dataset(kind, n=300, seed=41):
