@@ -29,6 +29,15 @@ def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in MISSING_TOKENS
 
 
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int``; a non-integer, a bool or a value below ``least`` raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An N x p feature table with a scalar response.
@@ -106,6 +115,16 @@ class EncodedMatrix:
     @property
     def n_factors(self) -> int:
         return len(self.group_map)
+
+    def factor_subset(self, factors) -> list[int]:
+        """Sorted distinct ``int`` indices of ``factors``; a non-integer or bool index,
+        one outside ``range(n_factors)`` or an empty subset raises ``ValueError``."""
+        subset = sorted({check_integer("factor index", f) for f in factors})
+        if not subset:
+            raise ValueError("factor subset must be non-empty")
+        if subset[0] < 0 or subset[-1] >= self.n_factors:
+            raise ValueError(f"factor indices out of range 0..{self.n_factors - 1}")
+        return subset
 
     def columns_for(self, factors) -> np.ndarray:
         """Sorted encoded column indices owned by the given factor subset."""

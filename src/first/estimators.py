@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedMatrix
+from .dataset import EncodedMatrix, check_integer
 from .neighbors import (
     build_index,
     distinct_points,
@@ -51,16 +51,12 @@ class EstimatorConfig:
     def __post_init__(self):
         _set_integer(self, "seed")
         if self.n_inner is not None:
-            _set_integer(self, "n_inner")
-            if self.n_inner < 2:
-                raise ValueError(f"n_inner must be at least 2, got {self.n_inner}")
+            _set_integer(self, "n_inner", 2)
         if isinstance(self.n_outer, str):
             if self.n_outer != "all":
                 raise ValueError(f"n_outer must be a positive integer or 'all', got {self.n_outer!r}")
         else:
-            _set_integer(self, "n_outer")
-            if self.n_outer < 1:
-                raise ValueError(f"n_outer must be positive, got {self.n_outer}")
+            _set_integer(self, "n_outer", 1)
 
     def resolve_n_inner(self, y: np.ndarray) -> int:
         """Effective inner neighbor count for the given response."""
@@ -73,16 +69,9 @@ class EstimatorConfig:
         return DEFAULT_N_INNER_BINARY if binary else DEFAULT_N_INNER_REGRESSION
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` as an ``int``; a float, a bool or another non-integer raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _set_integer(cfg: EstimatorConfig, name: str) -> None:
+def _set_integer(cfg: EstimatorConfig, name: str, least: int | None = None) -> None:
     """Check an integer field; store a numpy integer as ``int``."""
-    object.__setattr__(cfg, name, check_integer(name, getattr(cfg, name)))
+    object.__setattr__(cfg, name, check_integer(name, getattr(cfg, name), least))
 
 
 def check_rows(n: int, k: int) -> None:
@@ -261,10 +250,7 @@ def conditional_variance_effect(matrix, y, conditioning_factors, cfg: EstimatorC
     effect; with a candidate selection set it is the unexplained-variance
     term of the explainable-variance criterion.
     """
-    factors = sorted(set(int(f) for f in conditioning_factors))
-    if not factors:
-        raise ValueError("conditioning factor set must be non-empty")
-    return _subspace_effect(prepare(matrix, y, cfg), factors)
+    return _subspace_effect(prepare(matrix, y, cfg), matrix.factor_subset(conditioning_factors))
 
 
 def explainable_variance(matrix, y, selected_factors, cfg: EstimatorConfig) -> float:
@@ -274,11 +260,11 @@ def explainable_variance(matrix, y, selected_factors, cfg: EstimatorConfig) -> f
     the selected set; zero for an empty selection. Forward selection
     compares these raw values, so negative estimates are preserved.
     """
-    factors = sorted(set(int(f) for f in selected_factors))
+    ctx = prepare(matrix, y, cfg)
+    factors = list(selected_factors)
     if not factors:
         return 0.0
-    ctx = prepare(matrix, y, cfg)
-    return ctx.total - _subspace_effect(ctx, factors)
+    return ctx.total - _subspace_effect(ctx, matrix.factor_subset(factors))
 
 
 def subset_scores(ctx: EffectContext, factors):

@@ -47,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .dataset import check_integer
+
 # Relative slack applied to the k-th distance when collecting tie candidates.
 # It only needs to cover round-off differences between the tree's distance
 # arithmetic and the plain sum-of-squares used for the exact refilter; the
@@ -121,12 +123,7 @@ def build_index(matrix, factors) -> NeighborIndex:
     ``factors`` must be a non-empty subset of ``range(matrix.n_factors)``;
     the encoded columns of those factors define the distance subspace.
     """
-    factors = tuple(sorted(set(int(f) for f in factors)))
-    if not factors:
-        raise ValueError("factor subset must be non-empty")
-    if factors[0] < 0 or factors[-1] >= matrix.n_factors:
-        raise ValueError(f"factor indices out of range 0..{matrix.n_factors - 1}")
-    points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(factors)])
+    points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(matrix.factor_subset(factors))])
     points.flags.writeable = False
     if points.shape[1] < DENSE_MIN_COLUMNS:
         tree = cKDTree(points, leafsize=LEAF_SIZE, balanced_tree=False, compact_nodes=False, copy_data=False)
@@ -148,9 +145,9 @@ def within_kth(index: NeighborIndex, query_row: int, k: int) -> list[int]:
     index.
     """
     n = index.n_rows
-    if not 0 <= query_row < n:
+    if not 0 <= check_integer("query_row", query_row) < n:
         raise ValueError(f"query_row {query_row} out of range 0..{n - 1}")
-    if not 1 <= k <= n:
+    if not 1 <= check_integer("k", k) <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     rows = np.array([query_row], dtype=np.intp)
     ids, tied, kth = query_within_batch(index, rows, k, workers=1)

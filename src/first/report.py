@@ -14,13 +14,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import encode
-from .estimators import EstimatorConfig, check_integer, check_rows, derive_seed, worker_count
+from .dataset import check_integer, encode
+from .estimators import EstimatorConfig, check_rows, derive_seed, worker_count
 from .selection import first, first_fast
 from .synthetic import (
     BENCHMARKS,
     CopulaSpec,
-    check_rho,
+    benchmark_cell,
     generate_binary,
     generate_regression,
     restricted_groundtruth,
@@ -70,8 +70,8 @@ def selection_metrics(true_set, selected, p: int) -> SelectionMetrics:
     The false positive rate is taken over the ``p - |true_set|`` inert
     factors; when there are none it is reported as 0.
     """
-    true_set = set(int(i) for i in true_set)
-    selected = set(int(i) for i in selected)
+    true_set = {check_integer("factor index", i) for i in true_set}
+    selected = {check_integer("factor index", i) for i in selected}
     if not true_set:
         raise ValueError("true_set must be non-empty")
     if any(i < 0 or i >= p for i in true_set | selected):
@@ -174,22 +174,16 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     processes, each process queries with ``max(1, worker_count() // P)``
     threads, so the pool uses no more threads than ``FIRST_THREADS``.
     """
-    if function not in BENCHMARKS:
-        raise ValueError(f"unknown benchmark function {function!r}")
-    p, n, reps = check_integer("p", p), check_integer("n", n), check_integer("reps", reps)
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    p = benchmark_cell(function, p, rho)[1]
+    n, reps = check_integer("n", n), check_integer("reps", reps, 1)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    check_rho(rho)
-    f = BENCHMARKS[function]
-    if p < f.min_dim:
-        raise ValueError(f"{function} needs p >= {f.min_dim}, got {p}")
     cfg = EstimatorConfig(n_inner=n_inner, seed=seed)  # rejects n_inner < 2 and a non-integer seed
     seed = cfg.seed
     check_rows(n, cfg.inner_count(binary))
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
+    real = isinstance(noise_sd, (int, float, np.integer, np.floating)) and not isinstance(noise_sd, bool)
+    if not (real and math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd!r}")
     truth = None if binary else restricted_groundtruth(function, p, rho, seed=seed)
 
     cell = (function, p, rho, n, seed, method, n_inner, binary, noise_sd, truth)

@@ -58,17 +58,14 @@ class SelectionTrace:
         }
 
 
-def _backward_eliminate(ctx, factors):
-    """Iterate noise-adjusted estimation, dropping zero-index factors.
+def _backward_eliminate(ctx, active):
+    """Iterate noise-adjusted estimation on a sorted factor list, dropping zero-index factors.
 
     Returns ``(importance, steps)``: ``importance`` is a length-``n_factors``
     vector, strictly positive for the surviving factors and zero elsewhere.
     Every round either stops or strictly shrinks the active set, so there
-    are at most ``len(factors)`` rounds.
+    are at most ``len(active)`` rounds.
     """
-    active = sorted(set(int(f) for f in factors))
-    if not active:
-        raise ValueError("factor set must be non-empty")
     steps: list[SelectionStep] = []
     while active:
         scores = subset_scores(ctx, active)[0]
@@ -90,7 +87,7 @@ def nanne_be(matrix, y, factors, cfg: EstimatorConfig | None = None) -> np.ndarr
     factors outside ``factors``.
     """
     cfg = cfg or EstimatorConfig()
-    return _backward_eliminate(prepare(matrix, y, cfg), factors)[0]
+    return _backward_eliminate(prepare(matrix, y, cfg), matrix.factor_subset(factors))[0]
 
 
 def _candidate_values(ctx, active, candidates):
@@ -146,7 +143,7 @@ def _run_selection(matrix, y, cfg, prune: bool, method: str) -> SelectionTrace:
     active, steps, n_steps = _forward_select(ctx, cfg, prune)
     importance = np.zeros(matrix.n_factors)
     if active:
-        importance, be_steps = _backward_eliminate(ctx, active)
+        importance, be_steps = _backward_eliminate(ctx, sorted(active))
         steps.extend(be_steps)
     meta = {
         "method": method,

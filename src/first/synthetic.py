@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import CONTINUOUS, Dataset
+from .dataset import CONTINUOUS, Dataset, check_integer
 from .estimators import derive_seed
 
 UNIFORM = "uniform"
@@ -67,11 +67,11 @@ class CopulaSpec:
         return self.correlation.shape[0]
 
     @classmethod
-    def ar1(cls, dim: int, rho: float, marginal: str = UNIFORM) -> "CopulaSpec":
-        """Banded correlation ``rho ** |i - j|`` with a common marginal."""
+    def ar1(cls, dim: int, rho: float) -> "CopulaSpec":
+        """Banded correlation ``rho ** |i - j|`` with uniform marginals."""
         idx = np.arange(dim)
         sigma = check_rho(rho) ** np.abs(idx[:, None] - idx[None, :])
-        return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(marginal,) * dim)
+        return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(UNIFORM,) * dim)
 
 
 def _to_uniform(z: np.ndarray, marginal: str) -> np.ndarray:
@@ -202,12 +202,9 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     conditional variance is normalized by the Monte Carlo variance of f
     over the outer sample.
     """
-    if not 0 <= i < spec.dim:
+    if not 0 <= check_integer("factor index", i) < spec.dim:
         raise ValueError(f"factor index {i} out of range 0..{spec.dim - 1}")
-    if n_inner < 2:
-        raise ValueError("n_inner must be at least 2")
-    if n_outer < 2:
-        raise ValueError(f"n_outer must be at least 2, got {n_outer}")
+    n_outer, n_inner = check_integer("n_outer", n_outer, 2), check_integer("n_inner", n_inner, 2)
     rng = np.random.default_rng(seed)
     z = _sample_latent(spec, n_outer, rng)
     x = _latent_to_x(spec, z)
@@ -230,8 +227,18 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     return effect / var_f
 
 
-def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000,
-                           n_inner: int = 2, seed: int = 0) -> np.ndarray:
+def benchmark_cell(name: str, p, rho: float) -> tuple[BenchmarkFunction, int]:
+    """Check a benchmark cell (``name``, ``p`` and ``rho``); return its function and ``p`` as an ``int``."""
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark function {name!r}")
+    f, p = BENCHMARKS[name], check_integer("p", p)
+    if p < f.min_dim:
+        raise ValueError(f"{name} needs p >= {f.min_dim}, got {p}")
+    check_rho(rho)
+    return f, p
+
+
+def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000, seed: int = 0) -> np.ndarray:
     """Groundtruth importance vector for a benchmark, inert factors at zero.
 
     Importance is measured relative to the true model variables only: the
@@ -239,18 +246,17 @@ def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000
     restricted to a submatrix stays a Gaussian copula) and the oracle runs
     on that restricted problem.
     """
-    f = BENCHMARKS[name]
-    if p < f.min_dim:
-        raise ValueError(f"{name} needs p >= {f.min_dim}")
+    f, p = benchmark_cell(name, p, rho)
     truth = np.zeros(p)
-    values = _cached_restricted(name, float(check_rho(rho)), int(n_outer), int(n_inner), int(seed))
+    values = _cached_restricted(name, float(rho), check_integer("n_outer", n_outer, 2),
+                                check_integer("seed", seed))
     for pos, j in enumerate(f.active):
         truth[j] = values[pos]
     return truth
 
 
 @lru_cache(maxsize=64)
-def _cached_restricted(name: str, rho: float, n_outer: int, n_inner: int, seed: int) -> tuple:
+def _cached_restricted(name: str, rho: float, n_outer: int, seed: int) -> tuple:
     f = BENCHMARKS[name]
     active = np.array(f.active)
     sub = rho ** np.abs(active[:, None] - active[None, :])
@@ -265,5 +271,5 @@ def _cached_restricted(name: str, rho: float, n_outer: int, n_inner: int, seed: 
         full[:, active] = x_sub
         return evaluate(f, full)
 
-    return tuple(double_mc_total_sobol(spec, embedded, pos, n_outer, n_inner, derive_seed(seed, pos))
+    return tuple(double_mc_total_sobol(spec, embedded, pos, n_outer, n_inner=2, seed=derive_seed(seed, pos))
                  for pos in range(len(active)))

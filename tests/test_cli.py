@@ -71,6 +71,24 @@ class TestEstimate:
             "--no", "401", "--seed", "6", "--no-standardize")
         assert payload2["s_tot"] != payload["s_tot"]  # different subsample
 
+    @pytest.mark.parametrize("value, message", [
+        ("0", "--no must be positive"),
+        ("x", "--no must be a positive integer or 'all', got 'x'"),
+    ])
+    def test_bad_outer_count_rejected_by_argparse(self, capsys, ishigami_csv, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(ishigami_csv), "--response", "y", "--no", value])
+        assert exc.value.code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_constant_encoded_column_noted(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("x1,x2,y\n" + "".join(f"{v},3.0,{v % 7}\n" for v in range(20)))
+        code, payload, err = run_cli(capsys, "estimate", "--data", str(path), "--response", "y")
+        assert code == EXIT_OK
+        assert payload["s_tot"][1] == 0.0
+        assert "note: encoded column 1 is constant" in err
+
     def test_oversized_subsample_is_input_error(self, capsys, ishigami_csv):
         code, _, err = run_cli(
             capsys, "estimate", "--data", str(ishigami_csv), "--response", "y",

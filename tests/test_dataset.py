@@ -14,6 +14,7 @@ from first.dataset import (
     CONTINUOUS,
     DataError,
     Dataset,
+    EncodedMatrix,
     encode,
     load_csv,
     save_csv,
@@ -191,6 +192,16 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(tmp_path / "absent.csv", response="y")
+
+    @pytest.mark.parametrize("text, kwargs, message", [
+        (BASIC, dict(on_missing="skip"), "on_missing must be 'reject' or 'drop_rows', got 'skip'"),
+        ("", {}, "data.csv: empty file"),
+        ("x1,x1,y\n1.0,2.0,0.5\n", {}, "data.csv: duplicate column names in header"),
+        (BASIC, dict(categoricals={"y"}), "response column cannot be categorical"),
+    ])
+    def test_bad_file_or_arguments_rejected(self, tmp_path, text, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(write(tmp_path, text), response="y", **kwargs)
 
     def test_binary_response_detection(self, tmp_path):
         text = "x1,y\n1.0,0\n2.0,1\n3.0,1\n"
@@ -400,6 +411,32 @@ class TestEncode:
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
 
+    def test_factor_subset_is_sorted_distinct_ints(self):
+        m, _ = _encode_raw(np.arange(9.0).reshape(3, 3))
+        got = m.factor_subset((np.int64(2), 0, 2))
+        assert got == [0, 2] and all(type(f) is int for f in got)
+
+    def test_single_level_categorical_flagged_constant(self):
+        ds = Dataset(
+            factor_names=("x", "c"),
+            factor_kinds=(CONTINUOUS, CATEGORICAL),
+            factors=(np.array([1.0, 2.0, 3.0]), np.array(["a", "a", "a"], dtype=object)),
+            response=np.zeros(3),
+        )
+        m = encode(ds)
+        assert m.group_map == ((0,), (1,))
+        assert m.constant_columns == (1,)
+        np.testing.assert_array_equal(m.values[:, 1], 1.0)
+
+    @pytest.mark.parametrize("group_map, message", [
+        (((0,), (0, 1)), "group_map must partition the encoded columns"),
+        (((0,), (2,)), "group_map must partition the encoded columns"),
+        (((0, 1), ()), "every factor must own at least one encoded column"),
+    ])
+    def test_malformed_group_map_rejected(self, group_map, message):
+        with pytest.raises(DataError, match=message):
+            EncodedMatrix(values=np.zeros((3, 2)), group_map=group_map)
+
 
 def _encode_raw(x):
     ds = continuous_dataset(x, np.zeros(len(x)))
@@ -418,3 +455,16 @@ class TestDatasetValidation:
     def test_non_finite_response(self):
         with pytest.raises(DataError, match="response"):
             continuous_dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(factor_names=("a",)), "factor names, kinds and columns must align"),
+        (dict(factor_kinds=(CONTINUOUS,)), "factor names, kinds and columns must align"),
+        (dict(response=np.zeros(3)), "response length does not match factor columns"),
+        (dict(factor_kinds=(CONTINUOUS, "ordinal")), "unknown factor kind 'ordinal' for column 'b'"),
+        (dict(factors=(np.zeros(4), np.zeros(3))), "column 'b' has inconsistent length"),
+    ])
+    def test_malformed_fields_rejected(self, change, message):
+        fields = dict(factor_names=("a", "b"), factor_kinds=(CONTINUOUS, CONTINUOUS),
+                      factors=(np.zeros(4), np.ones(4)), response=np.zeros(4))
+        with pytest.raises(DataError, match=message):
+            Dataset(**{**fields, **change})

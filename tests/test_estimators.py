@@ -15,12 +15,30 @@ from first.estimators import (
     outer_rows,
     total_variance,
 )
-from first.selection import first as first_select
+from first.neighbors import build_index
+from first.selection import first as first_select, nanne_be
 from first.synthetic import BENCHMARKS, CopulaSpec, generate_regression
 from first.dataset import encode
 from tests.conftest import brute_effect, continuous_dataset, encoded
 
 CFG = EstimatorConfig(n_inner=2, seed=1)
+
+# Every public entry point that takes a factor subset, as f(matrix, y, factors).
+SUBSET_FUNCTIONS = {
+    "conditional_variance_effect": lambda m, y, factors: conditional_variance_effect(m, y, factors, CFG),
+    "explainable_variance": lambda m, y, factors: explainable_variance(m, y, factors, CFG),
+    "nanne_be": lambda m, y, factors: nanne_be(m, y, factors, CFG),
+    "build_index": lambda m, y, factors: build_index(m, factors).points,
+}
+
+BAD_SUBSETS = [
+    ([0.7], "factor index must be an integer, got 0.7"),
+    ([True], "factor index must be an integer, got True"),
+    (["1"], "factor index must be an integer, got '1'"),
+    ([0, 3], r"factor indices out of range 0\.\.2"),
+    ([-1], r"factor indices out of range 0\.\.2"),
+    ([], "factor subset must be non-empty"),
+]
 
 
 def ishigami_total_indices():
@@ -117,6 +135,11 @@ class TestExplainableVariance:
         m, y = encoded(rng.uniform(size=(10, 2)), rng.uniform(size=10))
         assert explainable_variance(m, y, [], CFG) == 0.0
 
+    def test_empty_selection_still_checks_the_response(self, rng):
+        m, y = encoded(rng.uniform(size=(10, 2)), rng.uniform(size=10))
+        with pytest.raises(ValueError, match="one value per row"):
+            explainable_variance(m, y[:5], [], CFG)
+
     def test_constant_response(self, rng):
         m, _ = encoded(rng.uniform(size=(10, 2)), np.zeros(10))
         assert explainable_variance(m, np.full(10, 2.0), [0], CFG) == 0.0
@@ -128,6 +151,25 @@ class TestExplainableVariance:
         m, _ = encoded(x, y)
         got = explainable_variance(m, y, [0], CFG)
         assert got == pytest.approx(1.0 / 12.0, abs=0.01)
+
+
+class TestFactorSubsets:
+    # an empty selection is valid for explainable_variance: it explains nothing
+    @pytest.mark.parametrize("name, factors, message", [
+        (name, factors, message) for name in SUBSET_FUNCTIONS for factors, message in BAD_SUBSETS
+        if factors or name != "explainable_variance"])
+    def test_bad_subset_rejected(self, rng, name, factors, message):
+        x = rng.uniform(size=(40, 3))
+        m, y = encoded(x, x[:, 0] + 0.1 * rng.standard_normal(40))
+        with pytest.raises(ValueError, match=message):
+            SUBSET_FUNCTIONS[name](m, y, factors)
+
+    @pytest.mark.parametrize("name", list(SUBSET_FUNCTIONS))
+    def test_numpy_and_repeated_indices_accepted(self, rng, name):
+        x = rng.uniform(size=(40, 3))
+        m, y = encoded(x, x[:, 0] + x[:, 2] + 0.1 * rng.standard_normal(40))
+        got = SUBSET_FUNCTIONS[name](m, y, [np.int64(2), np.int32(0), 2])
+        np.testing.assert_array_equal(got, SUBSET_FUNCTIONS[name](m, y, [0, 2]))
 
 
 class TestNanne:

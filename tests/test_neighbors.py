@@ -85,6 +85,17 @@ class TestWithinKth:
             within_kth(idx, 0, 4)
         with pytest.raises(ValueError):
             within_kth(idx, 3, 1)
+        for query_row, k, message in ((True, 2, "query_row must be an integer, got True"),
+                                      (1.0, 2, "query_row must be an integer, got 1.0"),
+                                      (1, 2.5, "k must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=message):
+                within_kth(idx, query_row, k)
+        assert within_kth(idx, np.int64(1), np.int32(2)) == within_kth(idx, 1, 2)
+
+    def test_batch_query_rejects_more_neighbors_than_rows(self):
+        idx = index_1d([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"k must be at most the number of rows \(3\), got 4"):
+            query_within_batch(idx, np.arange(3), 4, workers=1)
 
 
 class TestBuildIndex:

@@ -91,6 +91,16 @@ class TestSelectionMetrics:
         with pytest.raises(ValueError):
             selection_metrics(set(), {0}, p=3)
 
+    def test_out_of_range_index_rejected(self):
+        for true_set, selected in (({0, 3}, {5}), ({-1}, set())):
+            with pytest.raises(ValueError, match=r"factor indices must lie in range\(p\)"):
+                selection_metrics(true_set, selected, p=5)
+
+    def test_integer_indices_only(self):
+        with pytest.raises(ValueError, match="factor index must be an integer, got 1.5"):
+            selection_metrics({0}, {1.5}, p=5)
+        assert selection_metrics(np.array([0, 3]), [np.int64(0)], p=5) == selection_metrics({0, 3}, {0}, p=5)
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -172,6 +182,8 @@ class TestRunBenchmark:
         (dict(n=200.0), "n must be an integer, got 200.0"),
         (dict(reps=2.0), "reps must be an integer, got 2.0"),
         (dict(reps=True), "reps must be an integer, got True"),
+        (dict(noise_sd=True), "noise_sd must be finite and non-negative, got True"),
+        (dict(noise_sd="1"), "noise_sd must be finite and non-negative, got '1'"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)

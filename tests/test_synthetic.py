@@ -9,6 +9,7 @@ from first.dataset import load_csv, save_csv
 from first.synthetic import (
     BENCHMARKS,
     CopulaSpec,
+    _cached_restricted,
     double_mc_total_sobol,
     evaluate,
     generate_binary,
@@ -24,6 +25,7 @@ class TestCopulaSpec:
         spec = CopulaSpec.ar1(4, 0.5)
         assert spec.correlation[0, 3] == pytest.approx(0.5 ** 3)
         assert spec.dim == 4
+        assert spec.marginals == ("uniform",) * 4
         np.testing.assert_array_equal(np.diag(spec.correlation), 1.0)
 
     def test_rho_bounds(self):
@@ -41,6 +43,12 @@ class TestCopulaSpec:
             CopulaSpec(correlation=np.array([[1.0, 1.0], [1.0, 1.0]]), marginals=("uniform",) * 2)
         with pytest.raises(ValueError, match="marginal"):
             CopulaSpec(correlation=np.eye(2), marginals=("uniform", "exponential"))
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="correlation must be a square matrix"):
+            CopulaSpec(correlation=np.ones((2, 3)), marginals=("uniform",) * 2)
+        with pytest.raises(ValueError, match="need one marginal per dimension"):
+            CopulaSpec(correlation=np.eye(2), marginals=("uniform",) * 3)
 
 
 class TestSampleInputs:
@@ -184,6 +192,43 @@ class TestDoubleMcOracle:
                 double_mc_total_sobol(spec, BENCHMARKS["friedman"], 0, n_outer, 2, seed=1)
             with pytest.raises(ValueError, match=f"n_outer must be at least 2, got {n_outer}"):
                 restricted_groundtruth("friedman", 10, 0.5, n_outer=n_outer)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(i=10), r"factor index 10 out of range 0\.\.9"),
+        (dict(i=-1), r"factor index -1 out of range 0\.\.9"),
+        (dict(i=1.0), "factor index must be an integer, got 1.0"),
+        (dict(i=True), "factor index must be an integer, got True"),
+        (dict(n_outer=100.5), "n_outer must be an integer, got 100.5"),
+        (dict(n_inner=1), "n_inner must be at least 2, got 1"),
+        (dict(n_inner=2.0), "n_inner must be an integer, got 2.0"),
+    ])
+    def test_oracle_rejects_bad_arguments(self, bad, message):
+        kwargs = dict(i=0, n_outer=100, n_inner=2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            double_mc_total_sobol(CopulaSpec.ar1(10, 0.5), BENCHMARKS["friedman"], **{**kwargs, **bad})
+
+    def test_constant_function_has_zero_index(self):
+        spec = CopulaSpec.ar1(3, 0.5)
+        assert double_mc_total_sobol(spec, lambda x: np.full(len(x), 2.0), 1, 100, 2, seed=1) == 0.0
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(name="nope"), "unknown benchmark function 'nope'"),
+        (dict(p=10.0), "p must be an integer, got 10.0"),
+        (dict(p=9), "friedman needs p >= 10, got 9"),
+        (dict(n_outer=1000.7), "n_outer must be an integer, got 1000.7"),
+        (dict(seed=1.9), "seed must be an integer, got 1.9"),
+        (dict(seed=True), "seed must be an integer, got True"),
+    ])
+    def test_restricted_groundtruth_rejects_bad_arguments_before_oracle(self, bad, message):
+        kwargs = dict(name="friedman", p=10, rho=0.5, n_outer=1000, seed=1)
+        _cached_restricted.cache_clear()
+        with pytest.raises(ValueError, match=message):
+            restricted_groundtruth(**{**kwargs, **bad})
+        assert _cached_restricted.cache_info().misses == 0
+
+    def test_restricted_groundtruth_accepts_numpy_integers(self):
+        got = restricted_groundtruth("ishigami", np.int64(3), 0.5, n_outer=np.int32(1000), seed=np.uint8(1))
+        np.testing.assert_array_equal(got, restricted_groundtruth("ishigami", 3, 0.5, n_outer=1000, seed=1))
 
     def test_restricted_groundtruth_rejects_rho_outside_unit_interval(self):
         for rho in (-0.5, 1.0):
