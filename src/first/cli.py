@@ -16,8 +16,9 @@ import sys
 
 from .dataset import encode, load_csv
 from .estimators import EstimatorConfig, nanne
-from .report import run_benchmark
+from .report import METHODS, run_benchmark
 from .selection import first, first_fast
+from .synthetic import BENCHMARKS
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
@@ -71,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prune unpromising candidates for a faster, rougher search")
 
     p_bm = sub.add_parser("benchmark", help="replicated synthetic benchmark with groundtruth scoring")
-    p_bm.add_argument("--function", required=True, choices=("ishigami", "heavy_tailed", "friedman"))
+    p_bm.add_argument("--function", required=True, choices=tuple(BENCHMARKS))
     p_bm.add_argument("--p", required=True, type=int, help="number of input factors")
     p_bm.add_argument("--rho", type=float, default=0.0, help="input correlation level in [0, 1)")
     p_bm.add_argument("--n", type=int, default=1000, help="sample size per replication")
     p_bm.add_argument("--reps", type=int, default=100, help="number of replications")
-    p_bm.add_argument("--method", choices=("first", "first-fast"), default="first")
+    p_bm.add_argument("--method", choices=tuple(m.replace("_", "-") for m in METHODS), default="first")
     p_bm.add_argument("--seed", type=int, default=0)
     p_bm.add_argument("--binary", action="store_true",
                       help="binary response via the probit link (selection metrics only)")

@@ -105,6 +105,11 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """Generator of an integer ``seed`` taken modulo 2**64; every seeded draw in the package starts here."""
+    return np.random.default_rng(check_integer("seed", seed) & _SEED_MASK)
+
+
 @dataclass(frozen=True, eq=False)
 class ImportanceResult:
     """Per-factor total Sobol' index estimates with variance diagnostics.
@@ -162,8 +167,7 @@ def outer_rows(cfg: EstimatorConfig, n: int, step: int | None = None) -> np.ndar
         return np.arange(n, dtype=np.intp)
     if cfg.n_outer > n:
         raise ValueError(f"n_outer={cfg.n_outer} exceeds the number of rows ({n})")
-    seed = cfg.seed if step is None else derive_seed(cfg.seed, step)
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = seeded_rng(cfg.seed if step is None else derive_seed(cfg.seed, step))
     picks = rng.choice(n, size=cfg.n_outer, replace=False)
     return np.sort(picks.astype(np.intp))
 

@@ -6,11 +6,10 @@ seed and the replication number, and are reduced in replication order, so a
 report is reproducible bit for bit regardless of the worker count.
 """
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .synthetic import (
     BENCHMARKS,
     CopulaSpec,
     benchmark_cell,
+    check_noise_sd,
     generate_binary,
     generate_regression,
     restricted_groundtruth,
@@ -131,26 +131,25 @@ class BenchmarkReport:
         return cls(**kwargs, **d["aggregates"])
 
 
-def _run_replication(cell: tuple, rep: int) -> Replication:
-    """Generate, select and score replication ``rep`` of a cell (process-pool entry)."""
-    name, p, rho, n, seed, method, n_inner, binary, noise_sd, truth = cell
-    rep_seed = derive_seed(seed, rep)
-    f = BENCHMARKS[name]
-    spec = CopulaSpec.ar1(p, rho)
-    if binary:
-        ds = generate_binary(spec, f, n, rep_seed)
+def _run_replication(cell: BenchmarkReport, rep: int) -> Replication:
+    """Generate, select and score replication ``rep`` of a cell, given as its report's header (process-pool entry)."""
+    rep_seed = derive_seed(cell.seed, rep)
+    f = BENCHMARKS[cell.function]
+    spec = CopulaSpec.ar1(cell.p, cell.rho)
+    if cell.binary:
+        ds = generate_binary(spec, f, cell.n, rep_seed)
     else:
-        ds = generate_regression(spec, f, noise_sd, n, rep_seed)
+        ds = generate_regression(spec, f, cell.noise_sd, cell.n, rep_seed)
     matrix = encode(ds)
-    cfg = EstimatorConfig(n_inner=n_inner, seed=rep_seed)
-    select = first if method == "first" else first_fast
+    cfg = EstimatorConfig(n_inner=cell.n_inner, seed=rep_seed)
+    select = first if cell.method == "first" else first_fast
     start = time.perf_counter()
     trace = select(matrix, ds.response, cfg)
     runtime = time.perf_counter() - start
     importance, selected = [float(v) for v in trace.importance], list(trace.final_active)
-    metrics = selection_metrics(f.active, selected, p)
+    metrics = selection_metrics(f.active, selected, cell.p)
     return Replication(rep=rep, seed=rep_seed, importance=importance, selected=selected, runtime_s=runtime,
-                       tau=None if truth is None else kendall_tau_b(truth, importance),
+                       tau=None if cell.truth is None else kendall_tau_b(cell.truth, importance),
                        exact=metrics.exact, tpr=metrics.tpr, fpr=metrics.fpr)
 
 
@@ -174,34 +173,29 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     processes, each process queries with ``max(1, worker_count() // P)``
     threads, so the pool uses no more threads than ``FIRST_THREADS``.
     """
-    p = benchmark_cell(function, p, rho)[1]
+    _, p, rho = benchmark_cell(function, p, rho)
     n, reps = check_integer("n", n), check_integer("reps", reps, 1)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     cfg = EstimatorConfig(n_inner=n_inner, seed=seed)  # rejects n_inner < 2 and a non-integer seed
-    seed = cfg.seed
     check_rows(n, cfg.inner_count(binary))
-    real = isinstance(noise_sd, (int, float, np.integer, np.floating)) and not isinstance(noise_sd, bool)
-    if not (real and math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd!r}")
-    truth = None if binary else restricted_groundtruth(function, p, rho, seed=seed)
+    noise_sd = check_noise_sd(noise_sd)
+    truth = None if binary else [float(v) for v in restricted_groundtruth(function, p, rho, seed=cfg.seed)]
+    header = BenchmarkReport(function=function, p=p, rho=rho, n=n, reps=reps, method=method, seed=cfg.seed,
+                             binary=binary, noise_sd=noise_sd, n_inner=cfg.n_inner, truth=truth)
 
-    cell = (function, p, rho, n, seed, method, n_inner, binary, noise_sd, truth)
     threads = worker_count()
     workers = min(threads, reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                  initargs=(max(1, threads // workers),)) as pool:
-            replications = list(pool.map(_run_replication, [cell] * reps, range(reps)))
+            replications = list(pool.map(_run_replication, [header] * reps, range(reps)))
     else:
-        replications = [_run_replication(cell, rep) for rep in range(reps)]
-    mean_tau = None if truth is None else float(np.mean([r.tau for r in replications]))
-    return BenchmarkReport(
-        function=function, p=p, rho=rho, n=n, reps=reps, method=method, seed=seed,
-        binary=binary, noise_sd=noise_sd, n_inner=n_inner,
-        truth=None if truth is None else [float(v) for v in truth],
+        replications = [_run_replication(header, rep) for rep in range(reps)]
+    return replace(
+        header,
         replications=replications,
-        mean_tau=mean_tau,
+        mean_tau=None if truth is None else float(np.mean([r.tau for r in replications])),
         exact_rate=float(np.mean([r.exact for r in replications])),
         mean_tpr=float(np.mean([r.tpr for r in replications])),
         mean_fpr=float(np.mean([r.fpr for r in replications])),

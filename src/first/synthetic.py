@@ -16,17 +16,28 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dataset import CONTINUOUS, Dataset, check_integer
-from .estimators import derive_seed
+from .estimators import derive_seed, seeded_rng
 
 UNIFORM = "uniform"
 NORMAL = "normal"
 
 
+def _check_real(name: str, value, high: float, rule: str) -> float:
+    """``value`` as a ``float`` if it is a real number in [0, ``high``), else ``ValueError``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0.0 <= value < high):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return float(value)
+
+
 def check_rho(rho: float) -> float:
-    """Return ``rho`` if it is a valid AR(1) copula correlation, in [0, 1)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    return rho
+    """``rho`` as a ``float`` if it is a valid AR(1) copula correlation, in [0, 1)."""
+    return _check_real("rho", rho, 1.0, "lie in [0, 1)")
+
+
+def check_noise_sd(noise_sd: float) -> float:
+    """``noise_sd`` as a ``float`` if it is finite and non-negative."""
+    return _check_real("noise_sd", noise_sd, np.inf, "be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,31 +80,28 @@ class CopulaSpec:
     @classmethod
     def ar1(cls, dim: int, rho: float) -> "CopulaSpec":
         """Banded correlation ``rho ** |i - j|`` with uniform marginals."""
-        idx = np.arange(dim)
+        idx = np.arange(check_integer("dim", dim, 1))
         sigma = check_rho(rho) ** np.abs(idx[:, None] - idx[None, :])
-        return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(UNIFORM,) * dim)
+        return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(UNIFORM,) * len(idx))
 
 
 def _to_uniform(z: np.ndarray, marginal: str) -> np.ndarray:
     return ndtr(z) if marginal == UNIFORM else z
 
 
-def _sample_latent(spec: CopulaSpec, n: int, rng) -> np.ndarray:
-    chol = np.linalg.cholesky(spec.correlation)
-    return rng.standard_normal((n, spec.dim)) @ chol.T
-
-
-def _latent_to_x(spec: CopulaSpec, z: np.ndarray) -> np.ndarray:
+def _draw(spec: CopulaSpec, n: int, seed: int):
+    """The stream of ``seed`` after drawing ``n`` rows, with their latent normals ``z`` and inputs ``x``."""
+    rng = seeded_rng(seed)
+    z = rng.standard_normal((check_integer("n", n, 1), spec.dim)) @ np.linalg.cholesky(spec.correlation).T
     x = np.empty_like(z)
     for j, marginal in enumerate(spec.marginals):
         x[:, j] = _to_uniform(z[:, j], marginal)
-    return x
+    return rng, z, x
 
 
 def sample_inputs(spec: CopulaSpec, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. rows from the copula."""
-    rng = np.random.default_rng(seed)
-    return _latent_to_x(spec, _sample_latent(spec, n, rng))
+    return _draw(spec, n, seed)[2]
 
 
 def _conditional_coefficients(spec: CopulaSpec, i: int):
@@ -176,8 +184,8 @@ def _as_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
 
 def generate_regression(spec: CopulaSpec, f, noise_sd: float, n: int, seed: int) -> Dataset:
     """Sample inputs from the copula and add centered Gaussian noise to f."""
-    rng = np.random.default_rng(seed)
-    x = _latent_to_x(spec, _sample_latent(spec, n, rng))
+    noise_sd = check_noise_sd(noise_sd)
+    rng, _, x = _draw(spec, n, seed)
     y = _call(f, x)
     if noise_sd:
         y = y + noise_sd * rng.standard_normal(n)
@@ -186,8 +194,7 @@ def generate_regression(spec: CopulaSpec, f, noise_sd: float, n: int, seed: int)
 
 def generate_binary(spec: CopulaSpec, f, n: int, seed: int) -> Dataset:
     """Binary response: Bernoulli with probit success probability of f."""
-    rng = np.random.default_rng(seed)
-    x = _latent_to_x(spec, _sample_latent(spec, n, rng))
+    rng, _, x = _draw(spec, n, seed)
     prob = ndtr(_call(f, x))
     y = (rng.uniform(size=n) < prob).astype(np.float64)
     return _as_dataset(x, y)
@@ -205,9 +212,7 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     if not 0 <= check_integer("factor index", i) < spec.dim:
         raise ValueError(f"factor index {i} out of range 0..{spec.dim - 1}")
     n_outer, n_inner = check_integer("n_outer", n_outer, 2), check_integer("n_inner", n_inner, 2)
-    rng = np.random.default_rng(seed)
-    z = _sample_latent(spec, n_outer, rng)
-    x = _latent_to_x(spec, z)
+    rng, z, x = _draw(spec, n_outer, seed)
     f_outer = _call(f, x)
     var_f = float(np.var(f_outer, ddof=1))
     if var_f == 0.0:
@@ -227,15 +232,14 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     return effect / var_f
 
 
-def benchmark_cell(name: str, p, rho: float) -> tuple[BenchmarkFunction, int]:
-    """Check a benchmark cell (``name``, ``p`` and ``rho``); return its function and ``p`` as an ``int``."""
+def benchmark_cell(name: str, p, rho: float) -> tuple[BenchmarkFunction, int, float]:
+    """Check a benchmark cell; return its function, ``p`` as an ``int`` and ``rho`` as a ``float``."""
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark function {name!r}")
     f, p = BENCHMARKS[name], check_integer("p", p)
     if p < f.min_dim:
         raise ValueError(f"{name} needs p >= {f.min_dim}, got {p}")
-    check_rho(rho)
-    return f, p
+    return f, p, check_rho(rho)
 
 
 def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000, seed: int = 0) -> np.ndarray:
@@ -246,21 +250,19 @@ def restricted_groundtruth(name: str, p: int, rho: float, n_outer: int = 100_000
     restricted to a submatrix stays a Gaussian copula) and the oracle runs
     on that restricted problem.
     """
-    f, p = benchmark_cell(name, p, rho)
+    f, p, rho = benchmark_cell(name, p, rho)
     truth = np.zeros(p)
-    values = _cached_restricted(name, float(rho), check_integer("n_outer", n_outer, 2),
-                                check_integer("seed", seed))
-    for pos, j in enumerate(f.active):
-        truth[j] = values[pos]
+    truth[list(f.active)] = _cached_restricted(name, rho, check_integer("n_outer", n_outer, 2),
+                                               check_integer("seed", seed))
     return truth
 
 
 @lru_cache(maxsize=64)
 def _cached_restricted(name: str, rho: float, n_outer: int, seed: int) -> tuple:
     f = BENCHMARKS[name]
-    active = np.array(f.active)
-    sub = rho ** np.abs(active[:, None] - active[None, :])
-    spec = CopulaSpec(correlation=np.asarray(sub, dtype=np.float64), marginals=(UNIFORM,) * len(active))
+    active = list(f.active)
+    spec = CopulaSpec(correlation=CopulaSpec.ar1(f.min_dim, rho).correlation[np.ix_(active, active)],
+                      marginals=(UNIFORM,) * len(active))
 
     # every call of one oracle passes n_outer rows, so one buffer serves
     # them all: the inert columns stay 0.5, and column-major order gives f

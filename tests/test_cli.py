@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from first.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
+from first.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, build_parser, main
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, save_csv
 from first.synthetic import BENCHMARKS, CopulaSpec, generate_regression
 
@@ -207,6 +207,12 @@ class TestBenchmark:
         assert code == EXIT_INPUT
         assert payload is None
         assert message in err
+
+    def test_choices_are_the_package_functions_and_methods(self):
+        for name in BENCHMARKS:
+            for method in ("first", "first-fast"):
+                args = build_parser().parse_args(["benchmark", "--function", name, "--p", "10", "--method", method])
+                assert (args.function, args.method) == (name, method)
 
     def test_bad_function_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

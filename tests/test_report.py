@@ -184,6 +184,8 @@ class TestRunBenchmark:
         (dict(reps=True), "reps must be an integer, got True"),
         (dict(noise_sd=True), "noise_sd must be finite and non-negative, got True"),
         (dict(noise_sd="1"), "noise_sd must be finite and non-negative, got '1'"),
+        (dict(rho=False), r"rho must lie in \[0, 1\), got False"),
+        (dict(rho="0.5"), r"rho must lie in \[0, 1\), got '0.5'"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)
@@ -202,6 +204,17 @@ class TestRunBenchmark:
             d["aggregates"].pop("mean_runtime_s")
             payloads.append(d)
         assert payloads[0] == payloads[1] and payloads[0]["seed"] == 4
+
+    def test_numpy_floats_match_python_floats(self):
+        payloads = []
+        for cast in (np.float32, float):
+            d = json.loads(json.dumps(run_benchmark("ishigami", p=3, rho=cast(0.5), n=200, reps=2, method="first_fast",
+                                                    seed=4, noise_sd=cast(0.5)).to_dict()))
+            for rep in d["replications"]:
+                rep.pop("runtime_s")
+            d["aggregates"].pop("mean_runtime_s")
+            payloads.append(d)
+        assert payloads[0] == payloads[1] and payloads[0]["rho"] == payloads[0]["noise_sd"] == 0.5
 
     def test_binary_reports_selection_metrics_only(self):
         r = run_benchmark("ishigami", p=4, rho=0.0, n=300, reps=2, method="first_fast",

@@ -1,5 +1,7 @@
 """Copula sampler, benchmark functions, and groundtruth oracle tests."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -50,6 +52,20 @@ class TestCopulaSpec:
         with pytest.raises(ValueError, match="need one marginal per dimension"):
             CopulaSpec(correlation=np.eye(2), marginals=("uniform",) * 3)
 
+    @pytest.mark.parametrize("dim, rho, message", [
+        (2.5, 0.5, "dim must be an integer, got 2.5"),
+        (0, 0.5, "dim must be at least 1, got 0"),
+        (3, False, r"rho must lie in \[0, 1\), got False"),
+        (3, "0.5", r"rho must lie in \[0, 1\), got '0.5'"),
+    ])
+    def test_ar1_rejects_bad_arguments(self, dim, rho, message):
+        with pytest.raises(ValueError, match=message):
+            CopulaSpec.ar1(dim, rho)
+
+    def test_ar1_accepts_numpy_numbers(self):
+        got = CopulaSpec.ar1(np.int32(4), np.float32(0.5)).correlation
+        np.testing.assert_array_equal(got, CopulaSpec.ar1(4, 0.5).correlation)
+
 
 class TestSampleInputs:
     def test_independent_case_uncorrelated(self):
@@ -80,6 +96,103 @@ class TestSampleInputs:
     def test_seed_reproducibility(self):
         spec = CopulaSpec.ar1(3, 0.4)
         np.testing.assert_array_equal(sample_inputs(spec, 50, 9), sample_inputs(spec, 50, 9))
+
+
+def ishigami_draws(kind):
+    """One of the three samplers, called on the Ishigami function where it takes one."""
+    f = BENCHMARKS["ishigami"]
+    return {
+        "sample_inputs": lambda spec, n, seed: sample_inputs(spec, n, seed),
+        "generate_regression": lambda spec, n, seed: generate_regression(spec, f, 1.0, n, seed),
+        "generate_binary": lambda spec, n, seed: generate_binary(spec, f, n, seed),
+    }[kind]
+
+
+SAMPLERS = ("sample_inputs", "generate_regression", "generate_binary")
+
+
+def earlier_stream(spec, n, seed):
+    """The generator and inputs as first drawn: a raw seed to ``default_rng``, then the Cholesky factor and ndtr."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, spec.dim)) @ np.linalg.cholesky(spec.correlation).T
+    return rng, ndtr(z)
+
+
+class TestSeededDraws:
+    """Every sampler turns its seed into a stream the same way, and checks seed and count."""
+
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_bad_seed_rejected(self, kind, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            ishigami_draws(kind)(CopulaSpec.ar1(3, 0.5), 5, seed)
+
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("n, message", [
+        (5.0, "n must be an integer, got 5.0"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be at least 1, got 0"),
+    ])
+    def test_bad_count_rejected(self, kind, n, message):
+        with pytest.raises(ValueError, match=message):
+            ishigami_draws(kind)(CopulaSpec.ar1(3, 0.5), n, 1)
+
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    def test_numpy_seed_and_count_accepted(self, kind):
+        draw, spec = ishigami_draws(kind), CopulaSpec.ar1(3, 0.5)
+        got, want = draw(spec, np.int64(20), np.uint64(7)), draw(spec, 20, 7)
+        if kind == "sample_inputs":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_array_equal(got.response, want.response)
+            np.testing.assert_array_equal(np.column_stack(got.factors), np.column_stack(want.factors))
+
+    def test_seed_taken_modulo_two_to_the_64(self):
+        spec = CopulaSpec.ar1(3, 0.5)
+        np.testing.assert_array_equal(sample_inputs(spec, 20, -1), sample_inputs(spec, 20, 2**64 - 1))
+        np.testing.assert_array_equal(sample_inputs(spec, 20, 2**64 + 3), sample_inputs(spec, 20, 3))
+
+    @pytest.mark.parametrize("dim, rho", [(1, 0.0), (4, 0.5), (10, 0.9)])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1, 2**64 - 1])
+    def test_sample_inputs_stream_unchanged(self, dim, rho, seed):
+        spec = CopulaSpec.ar1(dim, rho)
+        np.testing.assert_array_equal(sample_inputs(spec, 64, seed), earlier_stream(spec, 64, seed)[1])
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.7])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_generate_regression_stream_unchanged(self, noise_sd, seed):
+        spec, f = CopulaSpec.ar1(10, 0.5), BENCHMARKS["friedman"]
+        ds = generate_regression(spec, f, noise_sd, 64, seed)
+        rng, x = earlier_stream(spec, 64, seed)
+        y = evaluate(f, x)
+        if noise_sd:
+            y = y + noise_sd * rng.standard_normal(64)
+        np.testing.assert_array_equal(np.column_stack(ds.factors), x)
+        np.testing.assert_array_equal(ds.response, y)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_generate_binary_stream_unchanged(self, seed):
+        spec, f = CopulaSpec.ar1(3, 0.5), BENCHMARKS["ishigami"]
+        ds = generate_binary(spec, f, 64, seed)
+        rng, x = earlier_stream(spec, 64, seed)
+        y = (rng.uniform(size=64) < ndtr(evaluate(f, x))).astype(np.float64)
+        np.testing.assert_array_equal(np.column_stack(ds.factors), x)
+        np.testing.assert_array_equal(ds.response, y)
+
+    @pytest.mark.parametrize("noise_sd, message", [
+        (-1.0, "noise_sd must be finite and non-negative, got -1.0"),
+        (float("nan"), "noise_sd must be finite and non-negative, got nan"),
+        (float("inf"), "noise_sd must be finite and non-negative, got inf"),
+        (True, "noise_sd must be finite and non-negative, got True"),
+    ])
+    def test_generate_regression_rejects_bad_noise(self, noise_sd, message):
+        with pytest.raises(ValueError, match=message):
+            generate_regression(CopulaSpec.ar1(3, 0.5), BENCHMARKS["ishigami"], noise_sd, 20, 1)
+
+    def test_numpy_float_noise_accepted(self):
+        spec, f = CopulaSpec.ar1(3, 0.5), BENCHMARKS["ishigami"]
+        got = generate_regression(spec, f, np.float32(0.5), 20, 1).response
+        np.testing.assert_array_equal(got, generate_regression(spec, f, 0.5, 20, 1).response)
 
 
 class TestBenchmarkFunctions:
@@ -201,6 +314,9 @@ class TestDoubleMcOracle:
         (dict(n_outer=100.5), "n_outer must be an integer, got 100.5"),
         (dict(n_inner=1), "n_inner must be at least 2, got 1"),
         (dict(n_inner=2.0), "n_inner must be an integer, got 2.0"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed="1"), "seed must be an integer, got '1'"),
     ])
     def test_oracle_rejects_bad_arguments(self, bad, message):
         kwargs = dict(i=0, n_outer=100, n_inner=2, seed=1)
