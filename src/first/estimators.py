@@ -18,7 +18,6 @@ import numpy as np
 from .dataset import EncodedMatrix, check_integer
 from .neighbors import (
     build_index,
-    distinct_points,
     query_within_batch,
     set_variances,
     shared_lists,
@@ -238,10 +237,9 @@ def step_lists(ctx: EffectContext, active, candidates):
     """Neighbor lists in ``active`` shared by a forward step's candidates.
 
     Builds the index of ``active`` and returns :func:`shared_lists` of the
-    outer rows, or None for an empty ``active``, a constant response or
-    duplicate points in ``active``.
+    outer rows, or None for an empty ``active`` or a constant response.
     """
-    if not active or ctx.total == 0.0 or not distinct_points(ctx.matrix, active):
+    if not active or ctx.total == 0.0:
         return None
     return shared_lists(build_index(ctx.matrix, active), ctx.matrix, ctx.rows, candidates, ctx.k, ctx.workers)
 

@@ -37,8 +37,8 @@ the (k+1)-th smallest distance in A∪{j} among its list lies below b and
 above the k-th, each by the ``TIE_REL_EPS`` gap: its k ids are then
 exactly its k nearest rows, the set an untied query would give. Only the
 other rows are queried on an index of A∪{j}. The lists are taken only
-where they pay: on a tree, over distinct points, and where they settle
-enough of a sample of rows.
+where they pay: on a tree, where no row of a sample repeats its point in
+A, and where they settle enough of that sample.
 """
 
 import itertools
@@ -177,9 +177,6 @@ def query_within_batch(index: NeighborIndex, rows: np.ndarray, k: int, workers: 
     if k > n:
         raise ValueError(f"k must be at most the number of rows ({n}), got {k}")
     rows = np.asarray(rows, dtype=np.intp)
-    if k == n:
-        ids = np.broadcast_to(np.arange(n, dtype=np.intp), (len(rows), n))
-        return ids, np.zeros(len(rows), dtype=bool), np.empty(0)
     if index.tree is None:
         ids, tied, kth = _dense_query(index, rows, k)
     else:
@@ -439,25 +436,22 @@ def neighbor_lists(index: NeighborIndex, rows: np.ndarray, workers: int) -> Neig
     return NeighborLists(rows=rows, ids=ids, d2=d2, bound=bound)
 
 
-def distinct_points(matrix, factors) -> bool:
-    """Whether no two rows share a point in the subspace of ``factors`` (one ``lexsort``)."""
-    points = matrix.values[:, matrix.columns_for(factors)]
-    points = points[np.lexsort(points.T)]
-    return not (points[1:] == points[:-1]).all(axis=1).any()
-
-
 def shared_lists(index: NeighborIndex, matrix, rows: np.ndarray, candidates, k: int,
                  workers: int) -> NeighborLists | None:
     """Lists of ``rows`` in the index's subspace, or None where they would not pay.
 
-    The caller checks :func:`distinct_points` first: the tree's long queries
-    are slow on duplicate points. The lists are used when the index is a
-    tree and, averaged over the ``candidates``, they settle at least
-    ``SETTLED_MIN_SHARE`` of a fixed sample of ``SHARE_SAMPLE`` rows; the
-    other rows go on to each candidate's own index and query.
+    The lists of a fixed sample of ``SHARE_SAMPLE`` rows decide. They are
+    refused when the index is not a tree, unless k < ``LIST_LENGTH`` < n,
+    when a sampled row's second list entry is at distance zero (its point
+    repeats, and the tree's long queries are slow on repeated points), and
+    when, averaged over the ``candidates``, they settle less than
+    ``SETTLED_MIN_SHARE`` of the sample. Refused lists send every row to
+    each candidate's own index and query.
     """
     if index.tree is None or not k < LIST_LENGTH < index.n_rows:
         return None
     probe = neighbor_lists(index, rows[::-(-len(rows) // SHARE_SAMPLE)], workers)
+    if not probe.d2[:, 1].all():
+        return None
     share = np.mean([probe.settle(matrix, j, k)[0].mean() for j in candidates])
     return neighbor_lists(index, rows, workers) if share >= SETTLED_MIN_SHARE else None

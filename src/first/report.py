@@ -70,6 +70,7 @@ def selection_metrics(true_set, selected, p: int) -> SelectionMetrics:
     The false positive rate is taken over the ``p - |true_set|`` inert
     factors; when there are none it is reported as 0.
     """
+    p = check_integer("p", p, 1)
     true_set = {check_integer("factor index", i) for i in true_set}
     selected = {check_integer("factor index", i) for i in selected}
     if not true_set:
@@ -175,6 +176,9 @@ def run_benchmark(function: str, p: int, rho: float, n: int, reps: int, method: 
     """
     _, p, rho = benchmark_cell(function, p, rho)
     n, reps = check_integer("n", n), check_integer("reps", reps, 1)
+    if not isinstance(binary, (bool, np.bool_)):
+        raise ValueError(f"binary must be a bool, got {binary!r}")
+    binary = bool(binary)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     cfg = EstimatorConfig(n_inner=n_inner, seed=seed)  # rejects n_inner < 2 and a non-integer seed

@@ -33,7 +33,6 @@ from first.neighbors import (
     TIE_BLOCK_FLOATS,
     NeighborIndex,
     build_index,
-    distinct_points,
     neighbor_lists,
     query_within_batch,
     tied_variances,
@@ -401,7 +400,7 @@ class TestDenseBackend:
         n = 120
         m, _ = encoded(mixed_points(n, q, rng), np.zeros(n), standardize=False)
         index = build_index(m, range(q))
-        for k in (1, 2, 3, 5):
+        for k in (1, 2, 3, 5, n):
             for row in range(n):
                 assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
 
@@ -584,13 +583,40 @@ class TestSharedLists:
         m, y = encoded(x, x.sum(axis=1) + rng.standard_normal(n))
         ctx = prepare(m, y, EstimatorConfig())
         monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
-        assert distinct_points(m, [0, 1]) and step_lists(ctx, [0, 1], [2]) is not None
+        assert step_lists(ctx, [0, 1], [2]) is not None
         on_backend(monkeypatch, "dense")
         assert step_lists(ctx, [0, 1], [2]) is None
         on_backend(monkeypatch, "tree")
         g, gy = encoded(grid_points(n, 3, rng), y, standardize=False)
-        assert not distinct_points(g, [0, 1])
         assert step_lists(prepare(g, gy, EstimatorConfig()), [0, 1], [2]) is None
+
+    @pytest.mark.parametrize("source, probed", [(5, False), (16, True)])
+    def test_repeated_point_refuses_only_in_the_probe(self, source, probed, monkeypatch):
+        # at n=1000 the probe takes rows 0, 16, 32, ...: row 5 and the last row are
+        # outside the probe, row 16 is inside
+        rng = np.random.default_rng(39)
+        n = 1000
+        x = rng.uniform(size=(n, 4))
+        x[-1] = x[source]
+        m, y = encoded(x, x[:, 0] + x[:, 1] * x[:, 2] + 0.2 * rng.standard_normal(n))
+        ctx = prepare(m, y, EstimatorConfig())
+        pool = [2, 3]
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+        assert (step_lists(ctx, [0, 1], pool) is None) == probed
+        shared = _candidate_values(ctx, [0, 1], pool)
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", np.inf)
+        assert step_lists(ctx, [0, 1], pool) is None
+        assert _candidate_values(ctx, [0, 1], pool) == shared
+
+    def test_categorical_grid_refuses_lists_at_every_step(self, monkeypatch):
+        ds = categorical_grid_dataset(600, seed=10)
+        m = encode(ds)
+        ctx = prepare(m, ds.response, EstimatorConfig())
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+        for size in (1, 2, 3):
+            for active in itertools.combinations(range(4), size):
+                assert build_index(m, active).tree is not None
+                assert step_lists(ctx, list(active), [j for j in range(4) if j not in active]) is None, active
 
     def test_memory_bound(self, monkeypatch):
         # the bound in the NeighborLists docstring: the lists, one

@@ -101,6 +101,16 @@ class TestSelectionMetrics:
             selection_metrics({0}, {1.5}, p=5)
         assert selection_metrics(np.array([0, 3]), [np.int64(0)], p=5) == selection_metrics({0, 3}, {0}, p=5)
 
+    @pytest.mark.parametrize("p, message", [
+        (3.5, "p must be an integer, got 3.5"),  # its 2.5 inert factors would give fpr 0.4 for one pick
+        (True, "p must be an integer, got True"),
+        ("5", "p must be an integer, got '5'"),
+    ])
+    def test_integer_p_only(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            selection_metrics({0}, {0, 1}, p=p)
+        assert selection_metrics({0}, {0, 1}, p=np.int64(3)) == selection_metrics({0}, {0, 1}, p=3)
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -186,6 +196,10 @@ class TestRunBenchmark:
         (dict(noise_sd="1"), "noise_sd must be finite and non-negative, got '1'"),
         (dict(rho=False), r"rho must lie in \[0, 1\), got False"),
         (dict(rho="0.5"), r"rho must lie in \[0, 1\), got '0.5'"),
+        (dict(binary="no"), "binary must be a bool, got 'no'"),
+        (dict(binary=0), "binary must be a bool, got 0"),
+        (dict(binary=1), "binary must be a bool, got 1"),
+        (dict(binary=None), "binary must be a bool, got None"),
     ])
     def test_bad_arguments_rejected_before_oracle(self, bad, message):
         kwargs = dict(function="ishigami", p=3, rho=0.0, n=100, reps=1, method="first", seed=0)
@@ -222,6 +236,11 @@ class TestRunBenchmark:
         assert r.truth is None
         assert r.mean_tau is None
         assert all(rep.tau is None for rep in r.replications)
+
+    def test_numpy_bool_binary_round_trips_through_json(self):
+        r = run_benchmark("ishigami", p=4, rho=0.0, n=300, reps=1, method="first_fast", seed=7, binary=np.True_)
+        back = BenchmarkReport.from_dict(json.loads(json.dumps(r.to_dict())))
+        assert back == r and r.binary is True and back.binary is True
 
     def test_negative_rho_rejected_before_oracle(self, monkeypatch):
         def oracle(*args, **kwargs):
