@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import EncodedMatrix, check_integer
 from .neighbors import (
+    SortedOrder,
     build_index,
     query_within_batch,
     set_variances,
@@ -220,7 +221,7 @@ def _subspace_effect(ctx: EffectContext, factors, settled=None) -> float:
     n, k = len(ctx.rows), ctx.k
     ids, tied = np.empty((n, k), dtype=np.intp), np.zeros(n, dtype=bool)
     todo = slice(None)
-    if settled is not None:
+    if settled is not None and settled[0].any():
         todo = ~settled[0]
         ids[settled[0]] = settled[1]
     rows = ctx.rows[todo]
@@ -236,11 +237,13 @@ def _subspace_effect(ctx: EffectContext, factors, settled=None) -> float:
 def step_lists(ctx: EffectContext, active, candidates):
     """Neighbor lists in ``active`` shared by a forward step's candidates.
 
-    Builds the index of ``active`` and returns :func:`shared_lists` of the
-    outer rows, or None for an empty ``active`` or a constant response.
+    :class:`SortedOrder` lists for an empty ``active``, else :func:`shared_lists`
+    of the outer rows on the index of ``active``; None for a constant response.
     """
-    if not active or ctx.total == 0.0:
+    if ctx.total == 0.0:
         return None
+    if not active:
+        return SortedOrder(ctx.rows)
     return shared_lists(build_index(ctx.matrix, active), ctx.matrix, ctx.rows, candidates, ctx.k, ctx.workers)
 
 

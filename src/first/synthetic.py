@@ -85,17 +85,13 @@ class CopulaSpec:
         return cls(correlation=np.asarray(sigma, dtype=np.float64), marginals=(UNIFORM,) * len(idx))
 
 
-def _to_uniform(z: np.ndarray, marginal: str) -> np.ndarray:
-    return ndtr(z) if marginal == UNIFORM else z
-
-
 def _draw(spec: CopulaSpec, n: int, seed: int):
     """The stream of ``seed`` after drawing ``n`` rows, with their latent normals ``z`` and inputs ``x``."""
     rng = seeded_rng(seed)
     z = rng.standard_normal((check_integer("n", n, 1), spec.dim)) @ np.linalg.cholesky(spec.correlation).T
-    x = np.empty_like(z)
-    for j, marginal in enumerate(spec.marginals):
-        x[:, j] = _to_uniform(z[:, j], marginal)
+    x = ndtr(z)
+    normal = [j for j, marginal in enumerate(spec.marginals) if marginal == NORMAL]
+    x[:, normal] = z[:, normal]
     return rng, z, x
 
 
@@ -207,7 +203,10 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     redraws coordinate i from its conditional distribution given the rest
     and takes the sample variance of f across the redraws. The average
     conditional variance is normalized by the Monte Carlo variance of f
-    over the outer sample.
+    over the outer sample. The inner evaluations are reduced along axis 0
+    of an (n_inner, n_outer) array: for n_inner from 2 to 7 that equals, bit
+    for bit, reducing the rows of an (n_outer, n_inner) array, which numpy
+    sums pairwise from 8 on, so the last bit may differ there.
     """
     if not 0 <= check_integer("factor index", i) < spec.dim:
         raise ValueError(f"factor index {i} out of range 0..{spec.dim - 1}")
@@ -221,14 +220,14 @@ def double_mc_total_sobol(spec: CopulaSpec, f, i: int, n_outer: int, n_inner: in
     rest, weights, resid_sd = _conditional_coefficients(spec, i)
     cond_mean = z[:, rest] @ weights
     del z
-    inner = np.empty((n_outer, n_inner))
+    inner = np.empty((n_inner, n_outer))
     # the outer draws are not read again: redraw coordinate i in place
     for j in range(n_inner):
         z_i = cond_mean + resid_sd * rng.standard_normal(n_outer)
-        x[:, i] = _to_uniform(z_i, spec.marginals[i])
-        inner[:, j] = _call(f, x)
-    centered = inner - inner.mean(axis=1, keepdims=True)
-    effect = float(((centered ** 2).sum(axis=1) / (n_inner - 1)).mean())
+        x[:, i] = ndtr(z_i) if spec.marginals[i] == UNIFORM else z_i
+        inner[j] = _call(f, x)
+    centered = inner - inner.mean(axis=0)
+    effect = float(((centered ** 2).sum(axis=0) / (n_inner - 1)).mean())
     return effect / var_f
 
 

@@ -15,7 +15,7 @@ import pytest
 from first import neighbors
 from first.dataset import encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
-from first.neighbors import build_index, within_kth
+from first.neighbors import SortedOrder, build_index, within_kth
 from first.report import BenchmarkReport, run_benchmark
 from first.selection import first
 from first.synthetic import (
@@ -155,6 +155,7 @@ def test_criterion_07_scaling_single_replication():
 
 def _criterion_08(backend):
     rng = np.random.default_rng(8000)
+    sorted_rows = 0
     for instance in range(1000):
         n = int(rng.integers(2, 501))
         q = int(rng.integers(1, 5))
@@ -171,7 +172,14 @@ def _criterion_08(backend):
                 continue
             row = int(rng.integers(n))
             assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
-    _pass(8, f"within-kth sets match brute force on 1000 random instances, k in {{1,2,3,5}} ({backend})")
+            if q == 1:
+                # forward selection's step 0 settles one-column factors from sorted order
+                settled, ids = SortedOrder(np.arange(n)).settle(m, 0, k)
+                for r, got in zip(np.flatnonzero(settled), ids):
+                    assert list(got) == sorted(brute_within_kth(index.points, r, k)), (instance, k, r)
+                sorted_rows += int(settled.sum())
+    _pass(8, f"within-kth sets match brute force on 1000 random instances, k in {{1,2,3,5}}, "
+             f"and {sorted_rows} rows settled from sorted order ({backend})")
 
 
 def test_criterion_08_neighbor_oracle_equivalence(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from first import neighbors
+from first import estimators, neighbors, selection
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 from first.estimators import (
     EstimatorConfig,
@@ -639,6 +639,111 @@ class TestSharedLists:
         index_bytes = 8 * n * 2
         bound = (16 * m_len + 8) * n + (24 * k + 1) * n + 32 * LIST_BLOCK_FLOATS + index_bytes
         assert peak < bound + (1 << 16), (peak, bound)
+
+
+class TestSortedOrder:
+    """Step 0's lists settle one-column factors exactly, from sorted order."""
+
+    DATA = {"continuous": lambda n, rng: rng.uniform(size=n),
+            "grid": lambda n, rng: grid_points(n, 1, rng)[:, 0],
+            "mixed": lambda n, rng: mixed_points(n, 1, rng)[:, 0]}
+
+    @staticmethod
+    def check_settled(m, rows, k):
+        """Settle factor 0 on ``rows``; every settled row must give its brute-force set."""
+        settled, ids = neighbors.SortedOrder(rows).settle(m, 0, k)
+        assert len(ids) == settled.sum()
+        points = m.values[:, :1]
+        for row, got in zip(rows[settled], ids):
+            assert list(got) == sorted(brute_within_kth(points, row, k)), (k, row)
+        return settled
+
+    @pytest.mark.parametrize("kind", sorted(DATA))
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_settled_rows_match_brute_force(self, kind, k, sample):
+        rng = np.random.default_rng(41)
+        n = 300
+        x = self.DATA[kind](n, rng)
+        # three copies of the smallest and of the largest value
+        low, high = x.argmin(), x.argmax()
+        x[[5, 100]], x[[7, 250]] = x[low], x[high]
+        m, _ = encoded(x[:, None], np.zeros(n), standardize=False)
+        rows = np.sort(rng.choice(n, size=60, replace=False)) if sample else np.arange(n)
+        rows = np.union1d(rows, [5, 7, 100, 250, low, high])
+        settled = self.check_settled(m, rows, k)
+        if kind == "continuous":
+            assert settled.mean() > 0.9
+            # three rows at each end share a point: at k=2 the 2nd and 3rd
+            # distances are both 0, from k=3 on the k-th and (k+1)-th differ
+            ends = np.isin(x[rows], [x.min(), x.max()])
+            assert ends.sum() == 6 and (settled[ends] == (k > 2)).all()
+        if kind == "grid":
+            assert not settled.any()
+
+    @pytest.mark.parametrize("kind", sorted(DATA))
+    def test_k_near_n(self, kind):
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 7, 12):
+            x = self.DATA[kind](n, rng)
+            m, _ = encoded(x[:, None], np.zeros(n), standardize=False)
+            self.check_settled(m, np.arange(n), n - 1)
+            assert not self.check_settled(m, np.arange(n), n).any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_distance_settles_no_row(self):
+        # the squared distance from either end overflows to inf: those rows
+        # keep every row as a neighbor, which only the query path gives
+        x = np.array([-1e200, 0.0, 1.0, 3.0, 6.0, 1e200])
+        m, _ = encoded(x[:, None], np.zeros(len(x)), standardize=False)
+        settled = self.check_settled(m, np.arange(len(x)), 2)
+        np.testing.assert_array_equal(settled, [False, True, True, True, True, False])
+
+    def test_multi_column_factor_settles_no_row(self):
+        m = encode(categorical_grid_dataset(200, seed=12))
+        assert len(m.columns_for([0])) == 3
+        settled, ids = neighbors.SortedOrder(np.arange(200)).settle(m, 0, 2)
+        assert not settled.any() and ids.shape == (0, 2)
+
+    @pytest.mark.parametrize("data", ["continuous", "grid", "categorical", "subsampled"])
+    def test_step_zero_values_equal_those_without_lists(self, data, monkeypatch):
+        rng = np.random.default_rng(45)
+        n, cfg = 400, EstimatorConfig()
+        if data == "categorical":
+            ds = categorical_grid_dataset(n, seed=14)
+            m, y = encode(ds), ds.response
+        else:
+            x = grid_points(n, 4, rng) if data == "grid" else rng.uniform(size=(n, 4))
+            m, y = encoded(x, x[:, 0] + x[:, 1] * x[:, 2] + 0.2 * rng.standard_normal(n))
+            cfg = EstimatorConfig(n_outer=150, seed=3) if data == "subsampled" else cfg
+        ctx = prepare(m, y, cfg)
+        pool = list(range(m.n_factors))
+        builds = []
+        monkeypatch.setattr(estimators, "build_index", lambda *a: builds.append(a) or build_index(*a))
+        with_lists = _candidate_values(ctx, [], pool)
+        assert (len(builds) == 0) == (data in ("continuous", "subsampled")), len(builds)
+        monkeypatch.setattr(selection, "step_lists", lambda ctx, active, candidates: None)
+        assert _candidate_values(ctx, [], pool) == with_lists
+
+    def test_memory_bound(self):
+        # the bound in the SortedOrder docstring: the argsort and its inverse
+        # while they are made, the window, then NeighborLists.settle's
+        # settled ids and mask and one block in flight
+        rng = np.random.default_rng(47)
+        n, k = 20_000, 3
+        m, _ = encoded(rng.uniform(size=(n, 2)), np.zeros(n))
+        for rows in (np.arange(n), np.arange(0, n, 7)):
+            order = neighbors.SortedOrder(rows)
+            tracemalloc.start()
+            try:
+                settled = order.settle(m, 1, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert settled[0].mean() > 0.9
+            m_rows = len(rows)
+            bound = 24 * n + (25 * (2 * k + 1) + 8) * m_rows + (24 * k + 1) * m_rows + 32 * LIST_BLOCK_FLOATS
+            assert peak < bound + (1 << 16), (peak, bound)
 
 
 def test_worker_count_env(monkeypatch):

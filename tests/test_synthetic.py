@@ -93,6 +93,15 @@ class TestSampleInputs:
         x = sample_inputs(spec, 10_000, seed=4)
         assert stats.kstest(x[:, 0], "norm").statistic < 0.02
 
+    def test_mixed_marginals_match_column_by_column(self):
+        # the latent normals as the draw makes them, each column mapped on its own
+        spec = CopulaSpec(correlation=CopulaSpec.ar1(4, 0.6).correlation,
+                          marginals=("normal", "uniform", "normal", "uniform"))
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((200, 4)) @ np.linalg.cholesky(spec.correlation).T
+        want = np.column_stack([z[:, j] if m == "normal" else ndtr(z[:, j]) for j, m in enumerate(spec.marginals)])
+        np.testing.assert_array_equal(sample_inputs(spec, 200, 5), want)
+
     def test_seed_reproducibility(self):
         spec = CopulaSpec.ar1(3, 0.4)
         np.testing.assert_array_equal(sample_inputs(spec, 50, 9), sample_inputs(spec, 50, 9))
@@ -270,7 +279,42 @@ class TestGenerators:
             np.testing.assert_array_equal(a, b)
 
 
+def columnwise_oracle(spec, f, i, n_outer, n_inner, seed):
+    """The oracle with its inner evaluations in an ``(n_outer, n_inner)`` array, reduced along rows."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_outer, spec.dim)) @ np.linalg.cholesky(spec.correlation).T
+    uniform = [m == "uniform" for m in spec.marginals]
+    x = np.where(uniform, ndtr(z), z)
+    var_f = float(np.var(evaluate(f, x), ddof=1))
+    rest = [j for j in range(spec.dim) if j != i]
+    sigma = spec.correlation
+    weights = np.linalg.solve(sigma[np.ix_(rest, rest)], sigma[i, rest])
+    resid_sd = np.sqrt(max(float(sigma[i, i] - sigma[i, rest] @ weights), 0.0))
+    cond_mean = z[:, rest] @ weights
+    inner = np.empty((n_outer, n_inner))
+    for j in range(n_inner):
+        z_i = cond_mean + resid_sd * rng.standard_normal(n_outer)
+        x[:, i] = ndtr(z_i) if uniform[i] else z_i
+        inner[:, j] = evaluate(f, x)
+    centered = inner - inner.mean(axis=1, keepdims=True)
+    return float(((centered ** 2).sum(axis=1) / (n_inner - 1)).mean()) / var_f
+
+
 class TestDoubleMcOracle:
+    @pytest.mark.parametrize("n_inner", range(2, 9))
+    def test_matches_columnwise_reduction(self, n_inner):
+        # same bits as reducing each outer row's evaluations for 2 to 7 inner
+        # draws; numpy sums a row of 8 pairwise, which may move the last bit.
+        # Mixed marginals take both mappings of coordinate i.
+        correlation = CopulaSpec.ar1(10, 0.5).correlation
+        spec = CopulaSpec(correlation=correlation, marginals=("uniform", "normal") * 5)
+        f = BENCHMARKS["friedman"]
+        for i in (0, 7, 9):
+            want = columnwise_oracle(spec, f, i, 3000, n_inner, 30 + i)
+            if n_inner == 8:
+                want = pytest.approx(want, rel=1e-14)
+            assert double_mc_total_sobol(spec, f, i, 3000, n_inner, 30 + i) == want, i
+
     def test_inactive_variable_is_exactly_zero(self):
         spec = CopulaSpec.ar1(10, 0.0)
         got = double_mc_total_sobol(spec, BENCHMARKS["friedman"], 2, 2000, 2, seed=16)
