@@ -226,7 +226,7 @@ def _subspace_effect(ctx: EffectContext, factors, settled=None) -> float:
         ids[settled[0]] = settled[1]
     rows = ctx.rows[todo]
     if len(rows):
-        index = build_index(ctx.matrix, factors)
+        index = build_index(ctx.matrix, factors, len(rows))
         ids[todo], tied[todo], kth = query_within_batch(index, rows, k, workers=ctx.workers)
     variances = set_variances(np.repeat(np.arange(n), k), ids.ravel(), ctx.y, n)
     if tied.any():

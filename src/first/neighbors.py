@@ -14,20 +14,22 @@ batched candidate searches in blocks of bounded size, and its result is
 shared by all of its rows.
 
 Two backends sit behind :func:`build_index`, chosen by the subspace's
-encoded width q. Below ``DENSE_MIN_COLUMNS`` columns a k-d tree answers
-the k-nearest query and the tie candidates' ball queries. From that width
-on, where a tree does little better than a linear scan, the dense backend
-scans row blocks: one matrix product per block gives the product distance
-‖a‖² + ‖b‖² − 2·a·b to every row, argmin passes take the k nearest, and
-a threshold on the same distances collects tie candidates. Its memory is
-O(b·n) for the one block in flight, next to the index's O(n·q). A row is flagged tied when
-its (k+1)-th distance is within ``TIE_REL_EPS`` of its k-th or within the
-products' rounding bound of it, so an untied row's ids are exactly its k
-nearest. Membership of tied rows is decided on exact sums of squared
-differences on both backends. Every set, tied or not, is held in ascending
-row id and valued by one reduction, :func:`set_variances`, so results do
-not depend on the backend, the tree's shape, the BLAS thread count or the
-path that found a set.
+encoded width q and, when the caller gives it, the number of rows the
+index will answer. Below ``DENSE_MIN_COLUMNS`` columns a k-d tree answers
+the k-nearest query and the tie candidates' ball queries, unless so few
+rows are asked for that a scan of them costs less than building the tree.
+From that width on, where a tree does little better than a linear scan,
+the dense backend scans row blocks: one matrix product per block gives the
+product distance ‖a‖² + ‖b‖² − 2·a·b to every row, argmin passes take the
+k nearest, and a threshold on the same distances collects tie candidates.
+Its memory is O(b·n) for the one block in flight, next to the index's
+O(n·q). A row is flagged tied when its (k+1)-th distance is within
+``TIE_REL_EPS`` of its k-th or within the products' rounding bound of it,
+so an untied row's ids are exactly its k nearest. Membership of tied rows
+is decided on exact sums of squared differences on both backends. Every
+set, tied or not, is held in ascending row id and valued by one reduction,
+:func:`set_variances`, so results do not depend on the backend, the tree's
+shape, the BLAS thread count or the path that found a set.
 
 A forward-selection step scores every candidate A∪{j} of its active set
 A. :func:`shared_lists` takes each outer row's M nearest rows in A once,
@@ -38,8 +40,9 @@ above the k-th, each by the ``TIE_REL_EPS`` gap: its k ids are then
 exactly its k nearest rows, the set an untied query would give. Only the
 other rows are queried on an index of A∪{j}. The lists are taken only
 where they pay: on a tree, where no row of a sample repeats its point in
-A, and where they settle enough of that sample. A step with an empty A
-takes its lists from sorted order instead (:class:`SortedOrder`).
+A, and where they settle enough of that sample. A step that samples a
+quarter of the rows or fewer takes lists twice as long. A step with an
+empty A takes its lists from sorted order instead (:class:`SortedOrder`).
 """
 
 import functools
@@ -79,6 +82,16 @@ LEAF_SIZE = 48
 # faster from q=8 on, but by at most 3.5 ms per subspace below q=12.
 DENSE_MIN_COLUMNS = 12
 
+# Narrower subspaces take the dense backend too when an index answers few
+# rows: queries·(q + 3) < DENSE_QUERY_FACTOR·log2(n). A tree's build costs
+# about n·log2(n) whatever it answers, a dense scan n·(q + 3) per row. `first`
+# on Friedman data (rho=0.5), one thread, median of 9 alternating runs at
+# DENSE_QUERY_FACTOR = 0 / 15 / 30 / 60 / 150: p=20, n=10,000, 500 outer rows
+# 167 / 150 / 147 / 149 / 149 ms (another sweep: 158 at 30, 310 at 400);
+# n=20,000, 2,000 outer rows 536 / 480 / 488 / 492 / 490 ms; p=50, n=1,000,
+# all rows 199 / 191 / 190 / 190 / 195 ms.
+DENSE_QUERY_FACTOR = 30
+
 # Product distances computed at once per dense block (8 bytes each).
 DENSE_BLOCK_FLOATS = 1 << 18
 
@@ -91,6 +104,12 @@ DENSE_BLOCK_FLOATS = 1 << 18
 # one run: 7.9 s off, 5.6 / 5.3 / 5.8 s with a share of 0.3 / 0.5 / 0.7.
 LIST_LENGTH = 32
 SETTLED_MIN_SHARE = 0.5
+
+# A step whose outer rows are at most this share of n takes lists of
+# 2·LIST_LENGTH (see shared_lists). Same runs as DENSE_QUERY_FACTOR's, at 30,
+# lists of 32 / 64: 173 / 154 ms and 528 / 492 ms for 500 and 2,000 outer
+# rows; 64 for all rows too made p=50, n=1,000 go from 210 to 271 ms.
+LONG_LISTS_MAX_SHARE = 0.25
 
 # Outer rows sampled to measure that share. On the shapes above, 64 rows
 # gave the share of all rows to within 0.03 at every step.
@@ -119,18 +138,21 @@ class NeighborIndex:
         return self.points.shape[0]
 
 
-def build_index(matrix, factors) -> NeighborIndex:
+def build_index(matrix, factors, queries=None) -> NeighborIndex:
     """Index the rows of ``matrix`` projected onto a factor subset.
 
     ``factors`` must be a non-empty subset of ``range(matrix.n_factors)``;
     the encoded columns of those factors define the distance subspace.
+    ``queries``, when given, is the number of rows the index will answer:
+    few enough of them take the dense backend at any width.
     """
     points = np.ascontiguousarray(matrix.values[:, matrix.columns_for(matrix.factor_subset(factors))])
     points.flags.writeable = False
-    if points.shape[1] < DENSE_MIN_COLUMNS:
+    n, q = points.shape
+    if q < DENSE_MIN_COLUMNS and (queries is None or queries * (q + 3) >= DENSE_QUERY_FACTOR * np.log2(n)):
         tree = cKDTree(points, leafsize=LEAF_SIZE, balanced_tree=False, compact_nodes=False, copy_data=False)
         return NeighborIndex(points=points, tree=tree)
-    centered = points - points.mean(axis=0)
+    centered = points - np.ones(n) @ points / n
     return NeighborIndex(points=points, tree=None, centered=centered,
                          norms=np.einsum("ij,ij->i", centered, centered))
 
@@ -209,7 +231,10 @@ def _rounding_bound(index: NeighborIndex, rows: np.ndarray) -> np.ndarray:
     With S = ‖a‖² + ‖b‖² over the centered points, centering, the norms, the
     product, the final sums and the exact sum of squares together round by
     at most about (4q + 13)·2^-53·S. The bound doubles that, with S taken
-    at the largest norm; the ``tiny`` term covers underflow.
+    at the largest norm; the ``tiny`` term covers underflow. It is stated on
+    the centered norms, so any centre vector keeps it: :func:`build_index`
+    takes the mean by one BLAS product, 5 to 14 times faster than
+    ``mean(axis=0)`` at n=10,000 and q = 2 to 11.
     """
     q = index.centered.shape[1]
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
@@ -379,7 +404,7 @@ def set_variances(seg: np.ndarray, ids: np.ndarray, values: np.ndarray, m: int) 
 class NeighborLists:
     """Each outer row's nearest rows in one subspace, to settle its supersets.
 
-    ``ids[i]`` are the M = ``LIST_LENGTH`` nearest rows of ``rows[i]`` and
+    ``ids[i]`` are the M nearest rows of ``rows[i]`` and
     ``d2[i]`` their squared distances; ``bound[i]`` is the squared (M+1)-th
     distance. A row outside the list is at least that far in this
     subspace, so in any subspace that contains it too. The lists hold
@@ -457,9 +482,8 @@ class SortedOrder:
         return lists.settle(matrix, factor, k)
 
 
-def neighbor_lists(index: NeighborIndex, rows: np.ndarray, workers: int) -> NeighborLists:
-    """The ``LIST_LENGTH`` nearest rows of each of ``rows`` on a tree index."""
-    m = LIST_LENGTH
+def neighbor_lists(index: NeighborIndex, rows: np.ndarray, workers: int, m: int) -> NeighborLists:
+    """The ``m`` nearest rows of each of ``rows`` on a tree index."""
     ids, d2, bound = np.empty((len(rows), m), dtype=np.intp), np.empty((len(rows), m)), np.empty(len(rows))
     step = max(1, LIST_BLOCK_FLOATS // (m + 1))
     for start in range(0, len(rows), step):
@@ -473,18 +497,22 @@ def shared_lists(index: NeighborIndex, matrix, rows: np.ndarray, candidates, k: 
                  workers: int) -> NeighborLists | None:
     """Lists of ``rows`` in the index's subspace, or None where they would not pay.
 
-    The lists of a fixed sample of ``SHARE_SAMPLE`` rows decide. They are
-    refused when the index is not a tree, unless k < ``LIST_LENGTH`` < n,
-    when a sampled row's second list entry is at distance zero (its point
-    repeats, and the tree's long queries are slow on repeated points), and
-    when, averaged over the ``candidates``, they settle less than
-    ``SETTLED_MIN_SHARE`` of the sample. Refused lists send every row to
-    each candidate's own index and query.
+    Lists are M = 2·``LIST_LENGTH`` long when the u ``rows`` number at
+    most ``LONG_LISTS_MAX_SHARE``·n, else ``LIST_LENGTH``: at most
+    1,032·u <= 258·n bytes, under the 520·n of all rows' lists. The
+    lists of a fixed sample of ``SHARE_SAMPLE`` rows, held while the rest
+    are made, decide. They are refused when the index is not a tree,
+    unless k < M < n, when a sampled row's second list entry is at
+    distance zero (its point repeats, and the tree's long queries are
+    slow on repeated points), and when, averaged over the ``candidates``,
+    they settle less than ``SETTLED_MIN_SHARE`` of the sample. Refused
+    lists send every row to each candidate's own index and query.
     """
-    if index.tree is None or not k < LIST_LENGTH < index.n_rows:
+    m = 2 * LIST_LENGTH if len(rows) <= LONG_LISTS_MAX_SHARE * index.n_rows else LIST_LENGTH
+    if index.tree is None or not k < m < index.n_rows:
         return None
-    probe = neighbor_lists(index, rows[::-(-len(rows) // SHARE_SAMPLE)], workers)
+    probe = neighbor_lists(index, rows[::-(-len(rows) // SHARE_SAMPLE)], workers, m)
     if not probe.d2[:, 1].all():
         return None
     share = np.mean([probe.settle(matrix, j, k)[0].mean() for j in candidates])
-    return neighbor_lists(index, rows, workers) if share >= SETTLED_MIN_SHARE else None
+    return neighbor_lists(index, rows, workers, m) if share >= SETTLED_MIN_SHARE else None

@@ -5,9 +5,12 @@ estimator plumbing so that library results are checked against a second,
 independent computation path.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from first import neighbors
 from first.dataset import CATEGORICAL, CONTINUOUS, Dataset, encode
 
 
@@ -65,6 +68,20 @@ def encoded(x: np.ndarray, y: np.ndarray, standardize: bool = True):
     """Dataset plus EncodedMatrix in one call; returns (matrix, response)."""
     ds = continuous_dataset(x, y)
     return encode(ds, standardize=standardize), ds.response
+
+
+def force_backend(monkeypatch, name):
+    """Send every subspace to one backend, overriding both of ``build_index``'s rules.
+
+    ``"tree"``: k-d trees at any width and row count. ``"dense"``: the dense
+    scan at any width. ``"few_rows"``: the dense scan for every index built
+    with a row count, by the few-rows rule alone; an index built without
+    one (a forward step's lists in A) stays a tree.
+    """
+    if name not in ("tree", "dense", "few_rows"):
+        raise ValueError(f"unknown backend {name!r}")
+    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1 if name == "dense" else sys.maxsize)
+    monkeypatch.setattr(neighbors, "DENSE_QUERY_FACTOR", np.inf if name == "few_rows" else 0.0)
 
 
 @pytest.fixture

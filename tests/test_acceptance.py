@@ -6,13 +6,11 @@ gates are seeded, so the whole suite is reproducible bit for bit.
 """
 
 import json
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from first import neighbors
 from first.dataset import encode
 from first.estimators import EstimatorConfig, conditional_variance_effect, nanne, total_variance
 from first.neighbors import SortedOrder, build_index, within_kth
@@ -25,7 +23,7 @@ from first.synthetic import (
     generate_regression,
     sample_inputs,
 )
-from tests.conftest import brute_within_kth, encoded
+from tests.conftest import brute_within_kth, encoded, force_backend
 from tests.test_estimators import ishigami_total_indices
 
 REPS = 100
@@ -153,7 +151,12 @@ def test_criterion_07_scaling_single_replication():
     _pass(7, f"p=100 replication in {elapsed:.2f}s")
 
 
-def _criterion_08(backend):
+# Labels of the backends that criteria 8 and 10 run on, as force_backend names them.
+BACKEND_LABELS = {"tree": "k-d tree", "dense": "dense", "few_rows": "dense by the few-rows rule"}
+
+
+def _criterion_08(monkeypatch, backend):
+    force_backend(monkeypatch, backend)
     rng = np.random.default_rng(8000)
     sorted_rows = 0
     for instance in range(1000):
@@ -166,7 +169,8 @@ def _criterion_08(backend):
         if rng.uniform() < 0.3:
             base = np.round(base, 1)  # coarse grid: heavy tie regime
         m, _ = encoded(base, np.zeros(n), standardize=False)
-        index = build_index(m, range(q))
+        index = build_index(m, range(q), 4)  # answers at most four rows, one per k
+        assert (index.tree is None) == (backend != "tree")
         for k in (1, 2, 3, 5):
             if k > n:
                 continue
@@ -179,17 +183,19 @@ def _criterion_08(backend):
                     assert list(got) == sorted(brute_within_kth(index.points, r, k)), (instance, k, r)
                 sorted_rows += int(settled.sum())
     _pass(8, f"within-kth sets match brute force on 1000 random instances, k in {{1,2,3,5}}, "
-             f"and {sorted_rows} rows settled from sorted order ({backend})")
+             f"and {sorted_rows} rows settled from sorted order ({BACKEND_LABELS[backend]})")
 
 
 def test_criterion_08_neighbor_oracle_equivalence(monkeypatch):
-    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", sys.maxsize)
-    _criterion_08("k-d tree")
+    _criterion_08(monkeypatch, "tree")
 
 
 def test_criterion_08_dense_backend(monkeypatch):
-    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1)
-    _criterion_08("dense")
+    _criterion_08(monkeypatch, "dense")
+
+
+def test_criterion_08_few_rows_dense(monkeypatch):
+    _criterion_08(monkeypatch, "few_rows")
 
 
 def test_criterion_09_affine_invariance():
@@ -211,10 +217,13 @@ def test_criterion_09_affine_invariance():
 
 
 def _criterion_10(monkeypatch, backend):
+    force_backend(monkeypatch, backend)
     rng = np.random.default_rng(10_000)
     x = rng.uniform(size=(500, 5))
     y = np.sin(6 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.3 * rng.standard_normal(500)
     m, _ = encoded(x, y)
+    # every effect's index, built with its row count, is on the backend named
+    assert (build_index(m, range(5), 300).tree is None) == (backend != "tree")
     cfg = EstimatorConfig(n_inner=2, n_outer=300, seed=42)
     importance, traces = [], []
     for workers in ("1", "4", "8"):
@@ -229,17 +238,19 @@ def _criterion_10(monkeypatch, backend):
         assert traces[0].steps == other.steps
         assert traces[0].final_active == other.final_active
         np.testing.assert_array_equal(traces[0].importance, other.importance)
-    _pass(10, f"bit-identical results across worker counts 1, 4, 8 ({backend})")
+    _pass(10, f"bit-identical results across worker counts 1, 4, 8 ({BACKEND_LABELS[backend]})")
 
 
 def test_criterion_10_worker_count_determinism(monkeypatch):
-    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", sys.maxsize)
-    _criterion_10(monkeypatch, "k-d tree")
+    _criterion_10(monkeypatch, "tree")
 
 
 def test_criterion_10_dense_backend(monkeypatch):
-    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1)
     _criterion_10(monkeypatch, "dense")
+
+
+def test_criterion_10_few_rows_dense(monkeypatch):
+    _criterion_10(monkeypatch, "few_rows")
 
 
 @pytest.mark.filterwarnings("ignore:total Sobol' index above 1")

@@ -39,7 +39,7 @@ from first.neighbors import (
     within_kth,
 )
 from first.selection import _candidate_values, first
-from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded
+from tests.conftest import brute_effect, brute_within_kth, categorical_grid_dataset, encoded, force_backend
 
 
 def index_1d(values):
@@ -337,7 +337,7 @@ class TestTieResolution:
         q = m.values.shape[1]
         block = max(TIE_BLOCK_FLOATS, n * q)
         for backend in ("tree", "dense"):
-            on_backend(monkeypatch, backend)
+            force_backend(monkeypatch, backend)
             assert (build_index(m, [0]).tree is None) == (backend == "dense")
             tracemalloc.start()
             try:
@@ -367,11 +367,6 @@ def many_level_dataset(n, seed):
                    response=x + rng.standard_normal(n))
 
 
-def on_backend(monkeypatch, backend):
-    """Send every subspace to one backend."""
-    monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 1 if backend == "dense" else sys.maxsize)
-
-
 class TestDenseBackend:
     """The blocked product backend that wide subspaces take."""
 
@@ -381,7 +376,7 @@ class TestDenseBackend:
         index = build_index(m, range(DENSE_MIN_COLUMNS))
         assert index.tree is None and index.points.shape == (30, DENSE_MIN_COLUMNS)
 
-    def test_large_offset_keeps_rows_untied(self):
+    def test_large_offset_keeps_rows_untied(self, monkeypatch):
         # raw columns far from zero: product distances of uncentered points
         # would round by about 1e-7 of 1e18 and flag every row as tied
         rng = np.random.default_rng(8)
@@ -392,6 +387,15 @@ class TestDenseBackend:
         _, tied, _ = query_within_batch(index, np.arange(200), 2, workers=1)
         assert not tied.any()
         for row in range(0, 200, 9):
+            assert within_kth(index, row, 2) == brute_within_kth(index.points, row, 2)
+        # a narrow subspace that takes the dense scan for its few query rows
+        force_backend(monkeypatch, "few_rows")
+        rows = np.arange(0, 200, 9)
+        index = build_index(m, range(3), len(rows))
+        assert index.tree is None
+        _, tied, _ = query_within_batch(index, rows, 2, workers=1)
+        assert not tied.any()
+        for row in rows:
             assert within_kth(index, row, 2) == brute_within_kth(index.points, row, 2)
 
     @pytest.mark.parametrize("q", [10, 11, 12, 16, 24, 40])
@@ -405,7 +409,7 @@ class TestDenseBackend:
                 assert within_kth(index, row, k) == brute_within_kth(index.points, row, k)
 
     def test_large_k_matches_brute_force(self, monkeypatch):
-        on_backend(monkeypatch, "dense")
+        force_backend(monkeypatch, "dense")
         rng = np.random.default_rng(41)
         n, k = 150, 35
         m, y = encoded(mixed_points(n, 3, rng), rng.standard_normal(n), standardize=False)
@@ -435,7 +439,7 @@ class TestDenseBackend:
         subsets = [tuple(range(p))] + [tuple(j for j in range(p) if j != i) for i in range(p)]
         results = {}
         for backend in ("tree", "dense"):
-            on_backend(monkeypatch, backend)
+            force_backend(monkeypatch, backend)
             indexes = [build_index(m, s) for s in subsets]
             results[backend] = ([[within_kth(ix, row, k) for row in range(m.n_rows)] for ix in indexes],
                                 [conditional_variance_effect(m, y, s, cfg) for s in subsets])
@@ -503,7 +507,7 @@ class TestPathParity:
     @pytest.mark.parametrize("backend", ["tree", "dense"])
     @pytest.mark.parametrize("k", [2, 3, 5, 9])
     def test_untied_rows_match_the_tie_path(self, backend, k, monkeypatch):
-        on_backend(monkeypatch, backend)
+        force_backend(monkeypatch, backend)
         rng = np.random.default_rng(21)
         n = 150
         m, y = encoded(mixed_points(n, 3, rng), rng.standard_normal(n), standardize=False)
@@ -518,6 +522,36 @@ class TestPathParity:
         want = tied_variances(index, free, kth, k, y, 1)
         got = [_subspace_effect(replace(ctx, rows=free[i:i + 1]), range(3)) for i in range(len(free))]
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_effect_is_identical_across_the_few_rows_cut(self, q, k, monkeypatch):
+        # DENSE_QUERY_FACTOR puts the cut between u - 1 and u query rows of a
+        # q-column subspace: u - 1 rows take the dense scan and u rows a tree,
+        # and each effect equals the other backend's bit for bit
+        rng = np.random.default_rng(23)
+        n, u = 400, 40
+        m, y = encoded(mixed_points(n, q, rng), rng.standard_normal(n), standardize=False)
+        ctx = prepare(m, y, EstimatorConfig(n_inner=k))
+        rows = np.sort(rng.choice(n, size=u, replace=False))
+        dense = []
+
+        def spy(*args):
+            index = build_index(*args)
+            dense.append(index.tree is None)
+            return index
+
+        monkeypatch.setattr(estimators, "build_index", spy)
+        for size, want_dense in ((u - 1, True), (u, False)):
+            sub = replace(ctx, rows=rows[:size])
+            monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", sys.maxsize)
+            monkeypatch.setattr(neighbors, "DENSE_QUERY_FACTOR", (u - 0.5) * (q + 3) / np.log2(n))
+            got = _subspace_effect(sub, range(q))
+            assert dense[-1] == want_dense
+            for backend in ("tree", "few_rows"):
+                force_backend(monkeypatch, backend)
+                assert _subspace_effect(sub, range(q)) == got, (size, backend)
+                assert dense[-1] == (backend == "few_rows")
 
 
 def grid_points(n, q, rng):
@@ -534,15 +568,14 @@ class TestSharedLists:
 
     @pytest.mark.parametrize("kind", sorted(DATA))
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_settled_rows_match_brute_force(self, kind, k, monkeypatch):
+    def test_settled_rows_match_brute_force(self, kind, k):
         # short lists leave rows unsettled on every kind of data
-        monkeypatch.setattr(neighbors, "LIST_LENGTH", 12)
         rng = np.random.default_rng(31)
         n = 300
         m, _ = encoded(self.DATA[kind](n, rng), np.zeros(n), standardize=False)
         rows = np.arange(n)
         for active in ([0], [0, 1], [1, 2, 3]):
-            lists = neighbor_lists(build_index(m, active), rows, workers=1)
+            lists = neighbor_lists(build_index(m, active), rows, workers=1, m=12)
             for j in set(range(4)) - set(active):
                 settled, ids = lists.settle(m, j, k)
                 points = build_index(m, active + [j]).points
@@ -584,9 +617,9 @@ class TestSharedLists:
         ctx = prepare(m, y, EstimatorConfig())
         monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
         assert step_lists(ctx, [0, 1], [2]) is not None
-        on_backend(monkeypatch, "dense")
+        force_backend(monkeypatch, "dense")
         assert step_lists(ctx, [0, 1], [2]) is None
-        on_backend(monkeypatch, "tree")
+        force_backend(monkeypatch, "tree")
         g, gy = encoded(grid_points(n, 3, rng), y, standardize=False)
         assert step_lists(prepare(g, gy, EstimatorConfig()), [0, 1], [2]) is None
 
@@ -638,6 +671,33 @@ class TestSharedLists:
         assert settled[0].any()
         index_bytes = 8 * n * 2
         bound = (16 * m_len + 8) * n + (24 * k + 1) * n + 32 * LIST_BLOCK_FLOATS + index_bytes
+        assert peak < bound + (1 << 16), (peak, bound)
+
+    def test_long_lists_memory_bound(self, monkeypatch):
+        # a step whose u outer rows are a quarter of n takes 2·LIST_LENGTH
+        # entries per list: the bound in the shared_lists docstring, 1,032·u
+        # <= 258·n bytes of lists and the probe's lists, then the rest of
+        # test_memory_bound's with the tree's 8·n-byte row order
+        monkeypatch.setattr(neighbors, "SETTLED_MIN_SHARE", 0.0)
+        rng = np.random.default_rng(37)
+        n, k = 8000, 2
+        x = rng.uniform(size=(n, 4))
+        m, y = encoded(x, x[:, 0] * x[:, 1] + rng.standard_normal(n))
+        ctx = prepare(m, y, EstimatorConfig(n_inner=k, n_outer=n // 4, seed=1))
+        u = len(ctx.rows)
+        tracemalloc.start()
+        try:
+            lists = step_lists(ctx, [0, 1], [2, 3])
+            settled = lists.settle(m, 2, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m_len = lists.ids.shape[1]
+        assert m_len == 2 * neighbors.LIST_LENGTH and settled[0].any()
+        list_bytes = lists.ids.nbytes + lists.d2.nbytes + lists.bound.nbytes
+        assert list_bytes == (16 * m_len + 8) * u <= 258 * n
+        probe_bytes = neighbors.SHARE_SAMPLE * (16 * m_len + 8)
+        bound = list_bytes + probe_bytes + (24 * k + 1) * u + 32 * LIST_BLOCK_FLOATS + 8 * n * 3
         assert peak < bound + (1 << 16), (peak, bound)
 
 

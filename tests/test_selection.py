@@ -1,7 +1,6 @@
 """Selection pipeline tests: backward elimination, forward selection, traces."""
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from first.dataset import encode
 from first.estimators import EstimatorConfig, derive_seed, nanne, outer_rows
 from first.selection import ADD, ELIMINATE, PRUNE, first, first_fast, nanne_be
 from first.synthetic import BENCHMARKS, CopulaSpec, generate_binary, generate_regression
-from tests.conftest import categorical_grid_dataset, encoded
+from tests.conftest import categorical_grid_dataset, encoded, force_backend
 
 CFG = EstimatorConfig(n_inner=2, seed=3)
 
@@ -288,32 +287,40 @@ class TestSharedListParity:
     @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
     @pytest.mark.parametrize("kind", ["friedman", "ishigami", "heavy_tailed", "binary", "categorical"])
     def test_traces_match_without_lists(self, kind, standardize, monkeypatch):
-        ds = parity_dataset(kind)
-        m = encode(ds, standardize=standardize)
-        used = []
+        lengths = []
         shared = estimators.shared_lists
 
         def spy(*args):
             lists = shared(*args)
-            used.append(lists is not None)
+            lengths.append(0 if lists is None else lists.ids.shape[1])
             return lists
 
         monkeypatch.setattr(estimators, "shared_lists", spy)
         default = neighbors.SETTLED_MIN_SHARE
-        for k, n_outer in itertools.product((2, 3, 5), ("all", 150)):
-            cfg = EstimatorConfig(n_inner=k, n_outer=n_outer, seed=7)
-            off = list_traces(m, ds.response, cfg, monkeypatch, np.inf)
-            used.clear()
-            assert list_traces(m, ds.response, cfg, monkeypatch, default) == off, (k, n_outer)
-            assert list_traces(m, ds.response, cfg, monkeypatch, 0.0) == off, (k, n_outer)
-            # categorical steps hold duplicate points, so they never use lists
-            assert any(used) == (kind != "categorical"), (k, n_outer)
+        # the tall case's 300 outer rows are a quarter of n: its lists are 2·LIST_LENGTH long
+        cases = ((300, ("all", 150), neighbors.LIST_LENGTH), (1200, (300,), 2 * neighbors.LIST_LENGTH))
+        for n, outers, length in cases:
+            ds = parity_dataset(kind, n)
+            m = encode(ds, standardize=standardize)
+            for k, n_outer in itertools.product((2, 3, 5), outers):
+                cfg = EstimatorConfig(n_inner=k, n_outer=n_outer, seed=7)
+                off = list_traces(m, ds.response, cfg, monkeypatch, np.inf)
+                lengths.clear()
+                assert list_traces(m, ds.response, cfg, monkeypatch, default) == off, (n, k, n_outer)
+                assert list_traces(m, ds.response, cfg, monkeypatch, 0.0) == off, (n, k, n_outer)
+                # categorical steps hold duplicate points, so they never use lists
+                assert any(lengths) == (kind != "categorical"), (n, k, n_outer)
+                assert set(lengths) <= {0, length}, (n, k, n_outer)
 
-    @pytest.mark.parametrize("dense_min", [sys.maxsize, 3, 1], ids=["tree", "mixed", "dense"])
-    def test_worker_counts_and_backends(self, dense_min, monkeypatch):
-        # criterion 10 with the lists forced on; at "mixed" the lists' tree
-        # of a narrow step feeds unsettled rows to dense candidate indexes
-        monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", dense_min)
+    @pytest.mark.parametrize("backend", ["tree", "mixed", "dense", "few_rows"])
+    def test_worker_counts_and_backends(self, backend, monkeypatch):
+        # criterion 10 with the lists forced on; at "mixed" (dense from 3
+        # columns) and "few_rows" the lists' tree of a narrow step feeds
+        # unsettled rows to dense candidate indexes
+        if backend == "mixed":
+            monkeypatch.setattr(neighbors, "DENSE_MIN_COLUMNS", 3)
+        else:
+            force_backend(monkeypatch, backend)
         ds = parity_dataset("friedman", n=400)
         m = encode(ds)
         cfg = EstimatorConfig(n_inner=2, n_outer=300, seed=42)
